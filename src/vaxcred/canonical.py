@@ -8,7 +8,9 @@ every byte of an encoding is load-bearing. The varints keep printable
 artifacts small enough for QR codes and short links.
 
 Supported values: int (unsigned 64-bit), bool, bytes, str, list, dict with
-str keys. None is not encodable; optional fields are simply omitted.
+str keys, and ``Encoded`` bytes that are already canonical. None is not
+encodable; optional fields are simply omitted. Decoded maps remember the
+exact bytes they came from (``DecodedMap.raw``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,25 @@ _TAG_MAP = 0x06
 
 _U64_MAX = 2**64 - 1
 _MAX_DEPTH = 32
+
+
+class Encoded:
+    """A value already in canonical form: ``encode`` copies its bytes
+    verbatim. Signed bodies travel inside larger encodings this way, as
+    the exact bytes that were signed, without being encoded again."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+
+class DecodedMap(dict):
+    """A map returned by ``decode``. ``raw`` is the exact input bytes it
+    was decoded from, so a signed body is checked over the bytes that
+    arrived rather than a re-encoding of them."""
+
+    __slots__ = ("raw",)
 
 
 def _varint(value: int) -> bytes:
@@ -83,7 +104,10 @@ def _encode_into(out: bytearray, value) -> None:
         out += _varint(len(value))
         out += value
     elif isinstance(value, str):
-        raw = value.encode("utf-8")
+        try:
+            raw = value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CanonicalError("text is not encodable as UTF-8") from exc
         out.append(_TAG_TEXT)
         out += _varint(len(raw))
         out += raw
@@ -109,8 +133,32 @@ def _encode_into(out: bytearray, value) -> None:
             out += _varint(len(key_bytes))
             out += key_bytes
             _encode_into(out, item)
+    elif isinstance(value, Encoded):
+        out += value.data
     else:
         raise CanonicalError(f"unencodable type: {type(value).__name__}")
+
+
+class Wire:
+    """Mixin for objects with ``to_wire``/``from_wire``: their canonical
+    bytes, and the strict parse of those bytes."""
+
+    __slots__ = ()
+
+    def to_bytes(self) -> bytes:
+        return encode(self.to_wire())
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        return cls.from_wire(decode(data))
+
+
+def tuples(items) -> tuple:
+    """A decoded list of lists as a tuple of tuples, the shape that frozen
+    objects hold; their constructors check the items."""
+    if not isinstance(items, list) or not all(isinstance(item, list) for item in items):
+        raise CanonicalError("expected a list of lists")
+    return tuple(tuple(item) for item in items)
 
 
 def decode(data: bytes):
@@ -154,8 +202,9 @@ def _decode_at(data: bytes, offset: int, depth: int):
             items.append(item)
         return items, offset
     if tag == _TAG_MAP:
+        start = offset - 1
         count, offset = _take_varint(data, offset)
-        result = {}
+        result = DecodedMap()
         prev_key: bytes | None = None
         for _ in range(count):
             if offset >= len(data) or data[offset] != _TAG_TEXT:
@@ -167,6 +216,7 @@ def _decode_at(data: bytes, offset: int, depth: int):
             prev_key = key_bytes
             value, offset = _decode_at(data, offset, depth + 1)
             result[key] = value
+        result.raw = data[start:offset]
         return result, offset
     raise CanonicalError(f"unknown type tag 0x{tag:02x}")
 

@@ -66,6 +66,7 @@ from .wallet import (
     store_credentials,
     wallet_init_app,
     wallet_init_paper,
+    write_atomic,
 )
 
 # -- plumbing -----------------------------------------------------------------
@@ -218,8 +219,7 @@ def cmd_distributor_give(args) -> int:
     )
     coupon = batch.distribute(record)
     if args.state:
-        with open(args.state, "w", encoding="utf-8") as fh:
-            json.dump({"released": sorted(batch.released)}, fh)
+        write_atomic(args.state, json.dumps({"released": sorted(batch.released)}).encode())
     print(qr.export_coupon_url(coupon) if args.url else qr.encode_qr(coupon))
     return 0
 

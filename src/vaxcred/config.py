@@ -19,7 +19,6 @@ DEFAULT_JOB_TYPES = (
 )
 
 DOSE_INTERVAL_DAYS = 21
-ROTATION_PERIOD_SECONDS = 60
 SYMPTOM_DIM = 16
 SYMPTOM_BOUND = 2 ** 16
 FIELD_MODULUS = 2 ** 31 - 1
@@ -35,37 +34,12 @@ ENV_PASSPHRASE = "VAXCRED_PASSPHRASE"
 class Config:
     job_types: tuple = DEFAULT_JOB_TYPES
     dose_interval_days: int = DOSE_INTERVAL_DAYS
-    rotation_period: int = ROTATION_PERIOD_SECONDS
-    symptom_dim: int = SYMPTOM_DIM
-    symptom_bound: int = SYMPTOM_BOUND
-    field_modulus: int = FIELD_MODULUS
-    max_reports: int = MAX_REPORTS
-    required_level: int = 2  # gate admission policy: fully vaccinated
 
     def __post_init__(self):
         if self.dose_interval_days < 0:
             raise ConfigError("dose_interval_days must be >= 0")
-        if self.rotation_period <= 0:
-            raise ConfigError("rotation_period must be positive")
-        if self.symptom_dim <= 0:
-            raise ConfigError("symptom_dim must be positive")
-        if self.field_modulus <= self.symptom_bound:
-            raise ConfigError("field_modulus must exceed symptom_bound")
         if not self.job_types:
             raise ConfigError("job_types must be non-empty")
-        if self.required_level not in (0, 1, 2):
-            raise ConfigError("required_level must be 0, 1 or 2")
-
-
-_INT_KEYS = {
-    "dose_interval_days",
-    "rotation_period",
-    "symptom_dim",
-    "symptom_bound",
-    "field_modulus",
-    "max_reports",
-    "required_level",
-}
 
 
 def parse_config(text: str) -> Config:
@@ -80,7 +54,7 @@ def parse_config(text: str) -> Config:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _INT_KEYS:
+        if key == "dose_interval_days":
             try:
                 values[key] = int(value)
             except ValueError:

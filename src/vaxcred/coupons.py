@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from . import canonical
-from .crypto import KeyHandle, VerifyingKey, sha256, sign_canonical, verify_canonical
+from .crypto import KeyHandle, SignedBody, SignedEnvelope, VerifyingKey, sha256
 from .errors import (
     BatchExhaustedError,
     CanonicalError,
@@ -27,8 +27,8 @@ _ZIP_RE = re.compile(r"^[0-9]{5}$")
 _MAX_INDEX = 2 ** 64 - 1
 
 
-@dataclass(frozen=True)
-class CouponPayload:
+@dataclass(frozen=True, slots=True)
+class CouponPayload(SignedBody):
     index: int
     zip_code: str
     job_type: str
@@ -53,38 +53,21 @@ class CouponPayload:
         return cls(index=obj["index"], zip_code=obj["zip"], job_type=obj["job"])
 
 
-@dataclass(frozen=True)
-class Coupon:
+@dataclass(frozen=True)  # not slotted: coupon_id is cached in the instance dict
+class Coupon(SignedEnvelope):
+    BODY_TYPE = CouponPayload
+
     payload: CouponPayload
     signature: bytes
 
-    @property
+    @cached_property
     def coupon_id(self) -> bytes:
         return coupon_id(self.payload)
-
-    def to_wire(self) -> dict:
-        return {"payload": self.payload.to_wire(), "sig": self.signature}
-
-    @classmethod
-    def from_wire(cls, obj) -> "Coupon":
-        if not isinstance(obj, dict) or set(obj) != {"payload", "sig"}:
-            raise CanonicalError("malformed coupon")
-        sig = obj["sig"]
-        if not isinstance(sig, bytes) or len(sig) != 64:
-            raise CanonicalError("bad coupon signature length")
-        return cls(payload=CouponPayload.from_wire(obj["payload"]), signature=sig)
-
-    def to_bytes(self) -> bytes:
-        return canonical.encode(self.to_wire())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Coupon":
-        return cls.from_wire(canonical.decode(data))
 
 
 def coupon_id(payload: CouponPayload) -> bytes:
     """Stable identifier: hash of the canonical payload encoding."""
-    return sha256(canonical.encode(payload.to_wire()))
+    return sha256(payload.to_bytes())
 
 
 def issue_coupon_batch(
@@ -106,11 +89,10 @@ def issue_coupon_batch(
         raise CanonicalError("batch size must be >= 1")
     if job_type not in job_types:
         raise InvalidJobTypeError(f"unknown job type {job_type!r}")
-    coupons = []
-    for i in range(start_index, start_index + n):
-        payload = CouponPayload(index=i, zip_code=zip_code, job_type=job_type)
-        sig = sign_canonical(handle, payload.to_wire())
-        coupons.append(Coupon(payload=payload, signature=sig))
+    coupons = [
+        Coupon.sign(handle, CouponPayload(index=i, zip_code=zip_code, job_type=job_type))
+        for i in range(start_index, start_index + n)
+    ]
     if registry is not None:
         for c in coupons:
             registry.register(c.coupon_id)
@@ -119,10 +101,7 @@ def issue_coupon_batch(
 
 def verify_coupon(vk: VerifyingKey, coupon: Coupon) -> bool:
     """Total signature check; any malformation is just False."""
-    try:
-        return verify_canonical(vk, coupon.payload.to_wire(), coupon.signature)
-    except Exception:
-        return False
+    return isinstance(coupon, Coupon) and coupon.verify(vk)
 
 
 @dataclass(frozen=True)
@@ -148,6 +127,8 @@ class DistributorBatch:
         jobs = {c.payload.job_type for c in self.coupons}
         if len(zips) > 1 or len(jobs) > 1:
             raise MismatchError("batch mixes zip codes or job types")
+        self._in_order = sorted(self.coupons, key=lambda c: c.payload.index)
+        self._next = 0  # every coupon before this position is released
 
     @property
     def zip_code(self) -> str:
@@ -171,7 +152,9 @@ class DistributorBatch:
                 f"record ({record.zip_code}, {record.job_type}) does not match "
                 f"batch ({self.zip_code}, {self.job_type})"
             )
-        for c in sorted(self.coupons, key=lambda c: c.payload.index):
+        while self._next < len(self._in_order):
+            c = self._in_order[self._next]
+            self._next += 1
             if c.payload.index not in self.released:
                 self.released.add(c.payload.index)
                 return c

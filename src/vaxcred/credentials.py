@@ -21,8 +21,9 @@ from .coupons import Coupon
 from .crypto import (
     DIGEST_LEN,
     SALT_LEN,
-    SIGNATURE_LEN,
     TAG_PASSKEY,
+    SignedBody,
+    SignedEnvelope,
     VerifyingKey,
     salted_hash,
     tagged_hash,
@@ -56,34 +57,37 @@ def pii_commitment(entries, salt: bytes) -> bytes:
 # -- bindings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Commitment:
-    """Badge side, paper variant: salted hash of the holder's identity."""
-
+@dataclass(frozen=True, slots=True)
+class _DigestBinding:
     digest: bytes
+
+    def __post_init__(self):
+        if not isinstance(self.digest, bytes) or len(self.digest) != DIGEST_LEN:
+            raise CanonicalError("bad binding digest")
+
+
+@dataclass(frozen=True, slots=True)
+class Commitment(_DigestBinding):
+    """Badge side, paper variant: salted hash of the holder's identity."""
 
     kind = "commitment"
 
 
-@dataclass(frozen=True)
-class TreeRoot:
+@dataclass(frozen=True, slots=True)
+class TreeRoot(_DigestBinding):
     """Badge side, app variant: root of the holder's identity hash tree."""
-
-    digest: bytes
 
     kind = "tree-root"
 
 
-@dataclass(frozen=True)
-class PasskeyHash:
+@dataclass(frozen=True, slots=True)
+class PasskeyHash(_DigestBinding):
     """Status side, paper variant: equals the badge commitment digest."""
-
-    digest: bytes
 
     kind = "passkey-hash"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppBinding:
     """Status side, app variant: holder public key plus tree root."""
 
@@ -91,6 +95,12 @@ class AppBinding:
     pii_root: bytes
 
     kind = "app"
+
+    def __post_init__(self):
+        if not isinstance(self.user_key, VerifyingKey):
+            raise CanonicalError("app binding needs a verifying key")
+        if not isinstance(self.pii_root, bytes) or len(self.pii_root) != DIGEST_LEN:
+            raise CanonicalError("bad binding root")
 
 
 _DIGEST_BINDINGS = {
@@ -101,7 +111,7 @@ _DIGEST_BINDINGS = {
 
 
 def binding_to_wire(binding) -> dict:
-    if isinstance(binding, (Commitment, TreeRoot, PasskeyHash)):
+    if isinstance(binding, _DigestBinding):
         return {"digest": binding.digest, "kind": binding.kind}
     if isinstance(binding, AppBinding):
         return {
@@ -119,24 +129,18 @@ def binding_from_wire(obj) -> object:
     if kind in _DIGEST_BINDINGS:
         if set(obj) != {"digest", "kind"}:
             raise CanonicalError("malformed digest binding")
-        digest = obj["digest"]
-        if not isinstance(digest, bytes) or len(digest) != DIGEST_LEN:
-            raise CanonicalError("bad binding digest")
-        return _DIGEST_BINDINGS[kind](digest)
+        return _DIGEST_BINDINGS[kind](obj["digest"])
     if kind == "app":
         if set(obj) != {"key", "kind", "root"}:
             raise CanonicalError("malformed app binding")
-        root = obj["root"]
-        if not isinstance(root, bytes) or len(root) != DIGEST_LEN:
-            raise CanonicalError("bad binding root")
-        return AppBinding(user_key=VerifyingKey.from_wire(obj["key"]), pii_root=root)
+        return AppBinding(user_key=VerifyingKey.from_wire(obj["key"]), pii_root=obj["root"])
     raise CanonicalError(f"unknown binding kind {kind!r}")
 
 
 # -- dose records ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoseInfo:
     product: str
     lot: str
@@ -149,7 +153,7 @@ class DoseInfo:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise CanonicalError(f"{name} must be non-empty text")
-        if self.dose_number not in (1, 2):
+        if type(self.dose_number) is not int or self.dose_number not in (1, 2):
             raise CanonicalError(f"dose_number must be 1 or 2, got {self.dose_number}")
         parse_date(self.date)
 
@@ -187,13 +191,19 @@ def parse_date(text: str) -> _dt.date:
 # -- badge -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BadgeInfo:
+@dataclass(frozen=True, slots=True)
+class BadgeInfo(SignedBody):
     dose_history: tuple  # of DoseInfo, in administration order
     coupon: Coupon
     binding: object  # Commitment | TreeRoot
 
     def __post_init__(self):
+        if not isinstance(self.dose_history, tuple) or not all(
+            isinstance(d, DoseInfo) for d in self.dose_history
+        ):
+            raise CanonicalError("dose history must be a tuple of dose records")
+        if not isinstance(self.coupon, Coupon):
+            raise CanonicalError("badge coupon must be a Coupon")
         if not self.dose_history:
             raise CanonicalError("badge needs at least one dose")
         if len(self.dose_history) > 2:
@@ -233,36 +243,20 @@ class BadgeInfo:
         )
 
 
-@dataclass(frozen=True)
-class Badge:
+@dataclass(frozen=True, slots=True)
+class Badge(SignedEnvelope):
+    BODY = "info"
+    BODY_TYPE = BadgeInfo
+
     info: BadgeInfo
     signature: bytes
-
-    def to_wire(self) -> dict:
-        return {"info": self.info.to_wire(), "sig": self.signature}
-
-    @classmethod
-    def from_wire(cls, obj) -> "Badge":
-        if not isinstance(obj, dict) or set(obj) != {"info", "sig"}:
-            raise CanonicalError("malformed badge")
-        sig = obj["sig"]
-        if not isinstance(sig, bytes) or len(sig) != SIGNATURE_LEN:
-            raise CanonicalError("bad badge signature length")
-        return cls(info=BadgeInfo.from_wire(obj["info"]), signature=sig)
-
-    def to_bytes(self) -> bytes:
-        return canonical.encode(self.to_wire())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Badge":
-        return cls.from_wire(canonical.decode(data))
 
 
 # -- status ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatusPayload:
+@dataclass(frozen=True, slots=True)
+class StatusPayload(SignedBody):
     level: VaccinationLevel
     binding: object  # PasskeyHash | AppBinding
     date: Optional[str] = None  # date of the most recent dose, if any
@@ -291,7 +285,7 @@ class StatusPayload:
         if keys not in ({"binding", "level"}, {"binding", "date", "level"}):
             raise CanonicalError("malformed status payload")
         level = obj["level"]
-        if not isinstance(level, int) or level not in (0, 1, 2):
+        if type(level) is not int or level not in (0, 1, 2):
             raise CanonicalError(f"bad vaccination level {level!r}")
         return cls(
             level=VaccinationLevel(level),
@@ -300,36 +294,19 @@ class StatusPayload:
         )
 
 
-@dataclass(frozen=True)
-class Status:
+@dataclass(frozen=True, slots=True)
+class Status(SignedEnvelope):
+    BODY_TYPE = StatusPayload
+
     payload: StatusPayload
     signature: bytes
-
-    def to_wire(self) -> dict:
-        return {"payload": self.payload.to_wire(), "sig": self.signature}
-
-    @classmethod
-    def from_wire(cls, obj) -> "Status":
-        if not isinstance(obj, dict) or set(obj) != {"payload", "sig"}:
-            raise CanonicalError("malformed status")
-        sig = obj["sig"]
-        if not isinstance(sig, bytes) or len(sig) != SIGNATURE_LEN:
-            raise CanonicalError("bad status signature length")
-        return cls(payload=StatusPayload.from_wire(obj["payload"]), signature=sig)
-
-    def to_bytes(self) -> bytes:
-        return canonical.encode(self.to_wire())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Status":
-        return cls.from_wire(canonical.decode(data))
 
 
 # -- passkey ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Passkey:
+@dataclass(frozen=True, slots=True)
+class Passkey(canonical.Wire):
     """Opening of a paper badge's commitment: identity fields plus salt."""
 
     pii: tuple  # of (label, value), sorted by label
@@ -338,7 +315,13 @@ class Passkey:
     def __post_init__(self):
         if not isinstance(self.salt, bytes) or len(self.salt) != SALT_LEN:
             raise CanonicalError("bad passkey salt")
-        canonical_pii(self.pii)  # validates shape, uniqueness, non-emptiness
+        if not isinstance(self.pii, tuple) or not all(
+            isinstance(kv, tuple) and len(kv) == 2
+            and isinstance(kv[0], str) and isinstance(kv[1], str)
+            for kv in self.pii
+        ):
+            raise CanonicalError("passkey fields must be (label, value) text pairs")
+        canonical_pii(self.pii)  # validates uniqueness, non-emptiness
         if list(self.pii) != sorted(self.pii, key=lambda kv: kv[0]):
             raise CanonicalError("passkey fields must be sorted by label")
 
@@ -347,7 +330,7 @@ class Passkey:
 
     def fingerprint(self) -> bytes:
         """Stable identifier for audit transcripts (not shown to venues)."""
-        return tagged_hash(TAG_PASSKEY, canonical.encode(self.to_wire()))
+        return tagged_hash(TAG_PASSKEY, self.to_bytes())
 
     def to_wire(self) -> dict:
         return {"pii": [[l, v] for l, v in self.pii], "salt": self.salt}
@@ -356,22 +339,4 @@ class Passkey:
     def from_wire(cls, obj) -> "Passkey":
         if not isinstance(obj, dict) or set(obj) != {"pii", "salt"}:
             raise CanonicalError("malformed passkey")
-        pii = obj["pii"]
-        if not isinstance(pii, list):
-            raise CanonicalError("malformed passkey fields")
-        pairs = []
-        for item in pii:
-            if not isinstance(item, list) or len(item) != 2:
-                raise CanonicalError("bad passkey field")
-            label, value = item
-            if not isinstance(label, str) or not isinstance(value, str):
-                raise CanonicalError("passkey fields must be text")
-            pairs.append((label, value))
-        return cls(pii=tuple(pairs), salt=obj["salt"])
-
-    def to_bytes(self) -> bytes:
-        return canonical.encode(self.to_wire())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Passkey":
-        return cls.from_wire(canonical.decode(data))
+        return cls(pii=canonical.tuples(obj["pii"]), salt=obj["salt"])

@@ -86,7 +86,7 @@ class VerifyingKey:
     def __post_init__(self):
         if self.scheme != SCHEME:
             raise VaxError(f"unsupported key scheme {self.scheme!r}")
-        if len(self.key_bytes) != 64:
+        if not isinstance(self.key_bytes, bytes) or len(self.key_bytes) != 64:
             raise VaxError("verifying key must be 64 bytes")
 
     @property
@@ -232,6 +232,86 @@ def verify(vk: VerifyingKey, msg: bytes, sig: bytes) -> bool:
         return False
 
 
+class SignedBody:
+    """Base of a body an issuer signs: a coupon payload, badge info or
+    status payload, each a frozen dataclass with ``to_wire``/``from_wire``.
+
+    It keeps its canonical bytes when decoded (``parse``: the exact input
+    bytes) or signed (``SignedEnvelope.sign``), and verifying, hashing and
+    re-encoding read them. A body built in process is encoded on request;
+    callers pass those bytes on rather than ask twice, and holders keep no
+    second copy. The kept bytes are no dataclass field: they take no part
+    in ``==`` or ``repr``.
+    """
+
+    __slots__ = ("_kept",)
+
+    def to_bytes(self) -> bytes:
+        kept = getattr(self, "_kept", None)
+        return canonical.encode(self.to_wire()) if kept is None else kept
+
+    def _keep(self, data: bytes) -> "SignedBody":
+        object.__setattr__(self, "_kept", data)
+        return self
+
+    @classmethod
+    def parse(cls, wire) -> "SignedBody":
+        """``from_wire`` that keeps the exact bytes a decoded map came from.
+        Also takes the ``Encoded`` body that ``SignedEnvelope.to_wire`` gives."""
+        if isinstance(wire, canonical.Encoded):
+            wire = canonical.decode(wire.data)
+        body = cls.from_wire(wire)
+        return body._keep(wire.raw) if isinstance(wire, canonical.DecodedMap) else body
+
+
+class SignedEnvelope(canonical.Wire):
+    """One issuer signature over one body's canonical bytes.
+
+    Subclasses are frozen dataclasses with two positional fields: the body,
+    named by ``BODY`` and of type ``BODY_TYPE``, then ``signature``. The
+    wire form is ``{BODY: body, "sig": signature}``. The constructor checks
+    both fields, so an envelope that exists is well formed and ``verify``
+    is one Ed25519 call over the body's bytes.
+    """
+
+    __slots__ = ()
+    BODY = "payload"
+    BODY_TYPE = SignedBody
+
+    def __post_init__(self):
+        if not isinstance(self.body, self.BODY_TYPE):
+            kind = self.BODY_TYPE.__name__
+            raise CanonicalError(f"{type(self).__name__} body must be a {kind}")
+        if not isinstance(self.signature, bytes) or len(self.signature) != SIGNATURE_LEN:
+            raise CanonicalError(f"bad {type(self).__name__.lower()} signature length")
+
+    @property
+    def body(self) -> SignedBody:
+        return getattr(self, self.BODY)
+
+    @classmethod
+    def sign(cls, handle: KeyHandle, body: SignedBody) -> "SignedEnvelope":
+        msg = body.to_bytes()
+        return cls(body._keep(msg), handle.sign(msg))
+
+    def verify(self, vk: VerifyingKey) -> bool:
+        """Total: False for a bad signature or a body with no encoding."""
+        try:
+            msg = self.body.to_bytes()
+        except CanonicalError:
+            return False
+        return verify(vk, msg, self.signature)
+
+    def to_wire(self) -> dict:
+        return {self.BODY: canonical.Encoded(self.body.to_bytes()), "sig": self.signature}
+
+    @classmethod
+    def from_wire(cls, obj) -> "SignedEnvelope":
+        if not isinstance(obj, dict) or set(obj) != {cls.BODY, "sig"}:
+            raise CanonicalError(f"malformed {cls.__name__.lower()}")
+        return cls(cls.BODY_TYPE.parse(obj[cls.BODY]), obj["sig"])
+
+
 def sign_canonical(handle: KeyHandle, value) -> bytes:
     """Sign the canonical encoding of a wire value."""
     return handle.sign(canonical.encode(value))
@@ -295,7 +375,3 @@ def _pk_decrypt(enc_key: X25519PrivateKey, ct: PkCiphertext) -> bytes:
         return ChaCha20Poly1305(key).decrypt(ct.nonce, ct.body, ct.ephemeral_pub)
     except (InvalidTag, ValueError) as exc:
         raise AuthFailureError("wrong key or tampered ciphertext") from exc
-
-
-def decrypt(handle: KeyHandle, ct: PkCiphertext) -> bytes:
-    return handle.decrypt(ct)

@@ -186,15 +186,14 @@ def _derive_channel_keys(shared: bytes, eph_pub: bytes):
 
 
 class _Endpoint:
-    """One end of the channel: separate AEAD keys per direction,
-    counter nonces, and a transcript of every ciphertext it saw."""
+    """One end of the channel: separate AEAD keys per direction and
+    counter nonces."""
 
-    def __init__(self, send_key: bytes, recv_key: bytes, transcript: list):
+    def __init__(self, send_key: bytes, recv_key: bytes):
         self._send = ChaCha20Poly1305(send_key)
         self._recv = ChaCha20Poly1305(recv_key)
         self._send_n = 0
         self._recv_n = 0
-        self.transcript = transcript
         self.state = SessionState.ESTABLISHED
 
     def _require(self, *states: SessionState) -> None:
@@ -206,9 +205,7 @@ class _Endpoint:
     def seal(self, plaintext: bytes) -> bytes:
         nonce = self._send_n.to_bytes(12, "big")
         self._send_n += 1
-        frame = self._send.encrypt(nonce, plaintext, _CHANNEL_AAD)
-        self.transcript.append(frame)
-        return frame
+        return self._send.encrypt(nonce, plaintext, _CHANNEL_AAD)
 
     def open(self, frame: bytes) -> bytes:
         nonce = self._recv_n.to_bytes(12, "big")
@@ -220,14 +217,6 @@ class _Endpoint:
 
     def close(self) -> None:
         self.state = SessionState.CLOSED
-
-
-class HolderChannel(_Endpoint):
-    pass
-
-
-class VenueChannel(_Endpoint):
-    pass
 
 
 def open_channel(
@@ -254,12 +243,12 @@ def open_channel(
     eph_pub = eph.public_key().public_bytes_raw()
     shared = eph.exchange(X25519PublicKey.from_public_bytes(adv.channel_key.enc_bytes))
     to_venue, to_holder = _derive_channel_keys(shared, eph_pub)
-    channel = HolderChannel(send_key=to_venue, recv_key=to_holder, transcript=[])
+    channel = _Endpoint(send_key=to_venue, recv_key=to_holder)
     hello = canonical.encode({"eph": eph_pub, "venue": adv.venue_id})
     return channel, hello
 
 
-def accept_channel(identity: VenueIdentity, hello: bytes) -> VenueChannel:
+def accept_channel(identity: VenueIdentity, hello: bytes) -> _Endpoint:
     """Venue side of the handshake."""
     obj = canonical.decode(hello)
     if not isinstance(obj, dict) or set(obj) != {"eph", "venue"}:
@@ -271,7 +260,7 @@ def accept_channel(identity: VenueIdentity, hello: bytes) -> VenueChannel:
         raise CanonicalError("bad ephemeral key")
     shared = identity.handle.exchange(eph_pub)
     to_venue, to_holder = _derive_channel_keys(shared, eph_pub)
-    return VenueChannel(send_key=to_holder, recv_key=to_venue, transcript=[])
+    return _Endpoint(send_key=to_holder, recv_key=to_venue)
 
 
 # -- rotating challenges ------------------------------------------------------
@@ -320,7 +309,7 @@ class VenueSession:
 
     # -- protocol step ------------------------------------------------------
 
-    def process_status(self, channel: VenueChannel, frame: bytes, now: float):
+    def process_status(self, channel: _Endpoint, frame: bytes, now: float):
         """Handle a status submission. Returns (GateDecision, response frame
         or None). Never raises on bad input; the channel closes on garbage."""
         channel._require(SessionState.ESTABLISHED)
@@ -383,14 +372,14 @@ def venue_start(
 # -- holder-side protocol steps ----------------------------------------------
 
 
-def submit_status(channel: HolderChannel, status: Status) -> bytes:
+def submit_status(channel: _Endpoint, status: Status) -> bytes:
     channel._require(SessionState.ESTABLISHED)
     frame = channel.seal(status.to_bytes())
     channel.state = SessionState.STATUS_RECEIVED
     return frame
 
 
-def receive_challenge(channel: HolderChannel, handle: KeyHandle, frame: bytes) -> str:
+def receive_challenge(channel: _Endpoint, handle: KeyHandle, frame: bytes) -> str:
     """Unbox the challenge; fails unless `handle` matches the key inside
     the submitted status (that is the anti-relay property)."""
     channel._require(SessionState.STATUS_RECEIVED)

@@ -94,7 +94,7 @@ def build_pii_tree(entries, rng=None) -> PiiTree:
 
 
 @dataclass(frozen=True)
-class DisclosureProof:
+class DisclosureProof(canonical.Wire):
     """Consented (label, value, salt) triples plus per-leaf sibling paths.
 
     Each path entry is (sibling_digest, sibling_is_left). Undisclosed
@@ -104,6 +104,36 @@ class DisclosureProof:
     disclosed: tuple  # of (label, value, salt)
     paths: tuple  # per disclosed leaf: tuple of (digest, bool)
     root: bytes
+
+    def __post_init__(self):
+        if not isinstance(self.root, bytes) or len(self.root) != DIGEST_LEN:
+            raise CanonicalError("bad proof root")
+        if not isinstance(self.disclosed, tuple) or not isinstance(self.paths, tuple):
+            raise CanonicalError("malformed disclosure proof")
+        for item in self.disclosed:
+            if not isinstance(item, tuple) or len(item) != 3:
+                raise CanonicalError("bad disclosed entry")
+            label, value, salt = item
+            if not isinstance(label, str) or not isinstance(value, str):
+                raise CanonicalError("disclosed label/value must be text")
+            if not isinstance(salt, bytes) or len(salt) != SALT_LEN:
+                raise CanonicalError("bad leaf salt")
+        for path in self.paths:
+            if not isinstance(path, tuple):
+                raise CanonicalError("bad path")
+            for step in path:
+                if not isinstance(step, tuple) or len(step) != 2:
+                    raise CanonicalError("bad path step")
+                sib, left = step
+                if not isinstance(sib, bytes) or len(sib) != DIGEST_LEN:
+                    raise CanonicalError("bad sibling digest")
+                if not isinstance(left, bool):
+                    raise CanonicalError("bad side flag")
+        if len(self.paths) != len(self.disclosed):
+            raise CanonicalError("path count mismatch")
+        labels = [l for l, _, _ in self.disclosed]
+        if len(set(labels)) != len(labels):
+            raise CanonicalError("duplicate disclosed label")
 
     def to_wire(self) -> dict:
         return {
@@ -116,51 +146,14 @@ class DisclosureProof:
     def from_wire(cls, obj: dict) -> "DisclosureProof":
         if not isinstance(obj, dict) or set(obj) != {"disclosed", "paths", "root"}:
             raise CanonicalError("malformed disclosure proof")
-        root = obj["root"]
-        if not isinstance(root, bytes) or len(root) != DIGEST_LEN:
-            raise CanonicalError("bad proof root")
-        disclosed = []
-        for item in _expect_list(obj["disclosed"]):
-            if not isinstance(item, list) or len(item) != 3:
-                raise CanonicalError("bad disclosed entry")
-            label, value, salt = item
-            if not isinstance(label, str) or not isinstance(value, str):
-                raise CanonicalError("disclosed label/value must be text")
-            if not isinstance(salt, bytes) or len(salt) != SALT_LEN:
-                raise CanonicalError("bad leaf salt")
-            disclosed.append((label, value, salt))
-        paths = []
-        for path in _expect_list(obj["paths"]):
-            steps = []
-            for step in _expect_list(path):
-                if not isinstance(step, list) or len(step) != 2:
-                    raise CanonicalError("bad path step")
-                sib, left = step
-                if not isinstance(sib, bytes) or len(sib) != DIGEST_LEN:
-                    raise CanonicalError("bad sibling digest")
-                if not isinstance(left, bool):
-                    raise CanonicalError("bad side flag")
-                steps.append((sib, left))
-            paths.append(tuple(steps))
-        if len(paths) != len(disclosed):
-            raise CanonicalError("path count mismatch")
-        labels = [l for l, _, _ in disclosed]
-        if len(set(labels)) != len(labels):
-            raise CanonicalError("duplicate disclosed label")
-        return cls(disclosed=tuple(disclosed), paths=tuple(paths), root=root)
-
-    def to_bytes(self) -> bytes:
-        return canonical.encode(self.to_wire())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DisclosureProof":
-        return cls.from_wire(canonical.decode(data))
-
-
-def _expect_list(value) -> list:
-    if not isinstance(value, list):
-        raise CanonicalError("expected list")
-    return value
+        paths = obj["paths"]
+        if not isinstance(paths, list):
+            raise CanonicalError("expected list")
+        return cls(
+            disclosed=canonical.tuples(obj["disclosed"]),
+            paths=tuple(canonical.tuples(path) for path in paths),
+            root=obj["root"],
+        )
 
 
 def prove_disclosure(tree: PiiTree, labels) -> DisclosureProof:
@@ -191,24 +184,15 @@ def prove_disclosure(tree: PiiTree, labels) -> DisclosureProof:
 def verify_disclosure(root: bytes, proof: DisclosureProof) -> bool:
     """Total check: recomputes the root for every disclosed leaf.
     Any tampering or malformation yields False, never an exception."""
-    try:
-        if not isinstance(root, bytes) or len(root) != DIGEST_LEN:
-            return False
-        if not isinstance(proof, DisclosureProof):
-            return False
-        # re-validate structure in case the proof was built by hand
-        proof = DisclosureProof.from_wire(proof.to_wire())
-        if proof.root != root or not proof.disclosed:
-            return False
-        for (label, value, salt), path in zip(proof.disclosed, proof.paths):
-            digest = leaf_digest(label, value, salt)
-            for sibling, sibling_is_left in path:
-                if sibling_is_left:
-                    digest = node_digest(sibling, digest)
-                else:
-                    digest = node_digest(digest, sibling)
-            if digest != root:
-                return False
-        return True
-    except Exception:
+    if not isinstance(proof, DisclosureProof) or proof.root != root or not proof.disclosed:
         return False
+    for (label, value, salt), path in zip(proof.disclosed, proof.paths):
+        digest = leaf_digest(label, value, salt)
+        for sibling, sibling_is_left in path:
+            if sibling_is_left:
+                digest = node_digest(sibling, digest)
+            else:
+                digest = node_digest(digest, sibling)
+        if digest != root:
+            return False
+    return True

@@ -14,10 +14,9 @@ import binascii
 import re
 from typing import Optional
 
-from . import canonical
-from .coupons import Coupon, verify_coupon
+from .coupons import Coupon
 from .credentials import Badge, Passkey, Status
-from .crypto import VerifyingKey, verify_canonical
+from .crypto import SignedEnvelope, VerifyingKey
 from .errors import (
     DecodeError,
     LengthExceededError,
@@ -99,17 +98,9 @@ def decode_qr(
         raise
     except Exception as exc:
         raise DecodeError(f"malformed {prefix} payload: {exc}") from exc
-    if isinstance(payload, Coupon) and coupon_key is not None:
-        if not verify_coupon(coupon_key, payload):
-            raise SignatureInvalidError("coupon signature does not verify")
-    if isinstance(payload, Badge) and credential_key is not None:
-        if not verify_canonical(credential_key, payload.info.to_wire(), payload.signature):
-            raise SignatureInvalidError("badge signature does not verify")
-    if isinstance(payload, Status) and credential_key is not None:
-        if not verify_canonical(
-            credential_key, payload.payload.to_wire(), payload.signature
-        ):
-            raise SignatureInvalidError("status signature does not verify")
+    key = coupon_key if cls is Coupon else credential_key
+    if isinstance(payload, SignedEnvelope) and key is not None and not payload.verify(key):
+        raise SignatureInvalidError(f"{cls.__name__.lower()} signature does not verify")
     return payload
 
 
@@ -125,6 +116,6 @@ def import_coupon_url(url: str, coupon_key: Optional[VerifyingKey] = None) -> Co
     if not isinstance(url, str) or not url.lower().startswith(COUPON_URL_SCHEME):
         raise UnknownPrefixError("not a coupon link")
     coupon = Coupon.from_bytes(_unb32(url[len(COUPON_URL_SCHEME):]))
-    if coupon_key is not None and not verify_coupon(coupon_key, coupon):
+    if coupon_key is not None and not coupon.verify(coupon_key):
         raise SignatureInvalidError("coupon signature does not verify")
     return coupon

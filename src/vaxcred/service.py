@@ -17,9 +17,8 @@ import threading
 
 from . import canonical, errors
 from .credentials import BadgeInfo, StatusPayload
-from .crypto import sha256
 from .errors import CanonicalError, ServiceUnreachableError, VaxError
-from .vaccination import BadgeIssuer
+from .vaccination import BadgeIssuer, signing_request
 
 _MAX_FRAME = 1 << 20  # 1 MiB is far beyond any legitimate request
 
@@ -47,10 +46,14 @@ def _recv_frame(sock: socket.socket) -> bytes:
 
 
 def encode_request(badge_info: BadgeInfo, status_payload: StatusPayload) -> bytes:
-    core = {"badge": badge_info.to_wire(), "status": status_payload.to_wire()}
-    digest = sha256(canonical.encode(core))
+    badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
+    _, digest = signing_request(badge_bytes, status_bytes)
     return canonical.encode(
-        {"badge": core["badge"], "req": digest, "status": core["status"]}
+        {
+            "badge": canonical.Encoded(badge_bytes),
+            "req": digest,
+            "status": canonical.Encoded(status_bytes),
+        }
     )
 
 
@@ -60,10 +63,10 @@ def handle_request_bytes(issuer: BadgeIssuer, data: bytes) -> bytes:
         obj = canonical.decode(data)
         if not isinstance(obj, dict) or set(obj) != {"badge", "req", "status"}:
             raise CanonicalError("malformed signing request")
-        badge_info = BadgeInfo.from_wire(obj["badge"])
-        status_payload = StatusPayload.from_wire(obj["status"])
-        core = {"badge": badge_info.to_wire(), "status": status_payload.to_wire()}
-        if sha256(canonical.encode(core)) != obj["req"]:
+        badge_info = BadgeInfo.parse(obj["badge"])
+        status_payload = StatusPayload.parse(obj["status"])
+        _, digest = signing_request(badge_info.to_bytes(), status_payload.to_bytes())
+        if digest != obj["req"]:
             raise CanonicalError("request digest mismatch")
         sig_badge, sig_status = issuer.sign_badge_request(badge_info, status_payload)
     except VaxError as exc:

@@ -13,7 +13,7 @@ salted commitment or tree root leaves the counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
@@ -33,13 +33,7 @@ from .credentials import (
     parse_date,
     pii_commitment,
 )
-from .crypto import (
-    KeyHandle,
-    VerifyingKey,
-    new_salt,
-    sha256,
-    sign_canonical,
-)
+from .crypto import KeyHandle, VerifyingKey, new_salt, sha256
 from .errors import (
     AlreadyUsedError,
     BadCouponError,
@@ -70,7 +64,7 @@ class AdmitDecision:
 def pharmacy_admit(vk_issuer: VerifyingKey, registry: Registry, coupon) -> AdmitDecision:
     """Total admission check for a first dose: never raises."""
     try:
-        if not isinstance(coupon, Coupon) or not verify_coupon(vk_issuer, coupon):
+        if not verify_coupon(vk_issuer, coupon):
             return AdmitDecision(False, AdmitDecision.BAD_SIGNATURE)
         state = registry.check(coupon.coupon_id)
     except UnknownCouponError:
@@ -84,10 +78,14 @@ def pharmacy_admit(vk_issuer: VerifyingKey, registry: Registry, coupon) -> Admit
     return AdmitDecision(True, AdmitDecision.OK)
 
 
-def request_digest(badge_info: BadgeInfo, status_payload: StatusPayload) -> bytes:
-    """Digest identifying one signing request; retries reuse it verbatim."""
-    core = {"badge": badge_info.to_wire(), "status": status_payload.to_wire()}
-    return sha256(canonical.encode(core))
+def signing_request(badge_bytes: bytes, status_bytes: bytes):
+    """(request bytes, digest) for one badge info and status payload, given
+    as the exact bytes the issuer signs; pharmacy and issuer both derive
+    the digest here. The digest identifies the request: a retry repeats it."""
+    request = canonical.encode(
+        {"badge": canonical.Encoded(badge_bytes), "status": canonical.Encoded(status_bytes)}
+    )
+    return request, sha256(request)
 
 
 class BadgeIssuer:
@@ -113,11 +111,9 @@ class BadgeIssuer:
 
         On any raise the registry is untouched (validation happens first,
         and the one registry call is itself atomic)."""
-        request_bytes = canonical.encode(
-            {"badge": badge_info.to_wire(), "status": status_payload.to_wire()}
-        )
-        self.received_requests.append(request_bytes)
-        digest = sha256(request_bytes)
+        badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
+        request, digest = signing_request(badge_bytes, status_bytes)
+        self.received_requests.append(request)
 
         if not verify_coupon(self._coupon_key, badge_info.coupon):
             raise BadCouponError("coupon signature does not verify")
@@ -130,9 +126,7 @@ class BadgeIssuer:
             date=badge_info.dose_history[-1].date,
             request_digest=digest,
         )
-        sig_badge = sign_canonical(self._handle, badge_info.to_wire())
-        sig_status = sign_canonical(self._handle, status_payload.to_wire())
-        return sig_badge, sig_status
+        return self._handle.sign(badge_bytes), self._handle.sign(status_bytes)
 
 
 def _check_consistency(badge_info: BadgeInfo, status_payload: StatusPayload) -> None:
@@ -151,13 +145,11 @@ def _check_consistency(badge_info: BadgeInfo, status_payload: StatusPayload) -> 
             raise MismatchError("paper badge requires a passkey-hash status binding")
         if status_binding.digest != badge_binding.digest:
             raise MismatchError("status binding digest differs from badge commitment")
-    elif isinstance(badge_binding, TreeRoot):
+    else:  # a TreeRoot: the BadgeInfo constructor admits no other binding
         if not isinstance(status_binding, AppBinding):
             raise MismatchError("app badge requires an app status binding")
         if status_binding.pii_root != badge_binding.digest:
             raise MismatchError("status tree root differs from badge tree root")
-    else:  # unreachable through the public constructors
-        raise CanonicalError("unsupported badge binding")
 
 
 @dataclass
@@ -166,20 +158,16 @@ class PharmacySession:
 
     `signer` is anything with sign_badge_request(badge_info, status) ->
     (sig, sig): an in-process BadgeIssuer or a wire client. Identity
-    fields are dropped as soon as the commitment is computed unless
-    `retain_pii` is set (it defaults to off and stays off in every
-    shipped flow).
+    fields are dropped as soon as the commitment is computed.
     """
 
     vk_issuer: VerifyingKey
     registry: Registry
     signer: object
     vk_badge: Optional[VerifyingKey] = None
-    retain_pii: bool = False
     today: Optional[str] = None  # clamp for dose dates; None skips the check
     product_rule: str = "same-product"  # or "any"
     rng: object = None
-    retained: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.vk_badge is None:
@@ -203,6 +191,11 @@ class PharmacySession:
             raise DismantledError("registry has been dismantled")
         raise BadCouponError("coupon signature does not verify")
 
+    def _sign(self, badge_info: BadgeInfo, status_payload: StatusPayload):
+        """(badge, status) carrying the signer's two signatures."""
+        sig_badge, sig_status = self.signer.sign_badge_request(badge_info, status_payload)
+        return Badge(badge_info, sig_badge), Status(status_payload, sig_status)
+
     def issue_credentials_paper(self, coupon: Coupon, dose: DoseInfo, pii):
         """First dose, paper wallet: returns (badge, status, passkey)."""
         self._admit_or_raise(coupon)
@@ -220,15 +213,7 @@ class PharmacySession:
             binding=PasskeyHash(commitment),
             date=dose.date,
         )
-        sig_badge, sig_status = self.signer.sign_badge_request(badge_info, status_payload)
-        passkey = Passkey(pii=pii, salt=salt)
-        if self.retain_pii:
-            self.retained.append((pii, salt))
-        return (
-            Badge(badge_info, sig_badge),
-            Status(status_payload, sig_status),
-            passkey,
-        )
+        return (*self._sign(badge_info, status_payload), Passkey(pii=pii, salt=salt))
 
     def issue_credentials_app(self, coupon: Coupon, dose: DoseInfo, pii_root: bytes,
                               user_key: VerifyingKey):
@@ -246,8 +231,7 @@ class PharmacySession:
             binding=AppBinding(user_key=user_key, pii_root=pii_root),
             date=dose.date,
         )
-        sig_badge, sig_status = self.signer.sign_badge_request(badge_info, status_payload)
-        return Badge(badge_info, sig_badge), Status(status_payload, sig_status)
+        return self._sign(badge_info, status_payload)
 
     def second_dose(self, badge: Badge, dose: DoseInfo, user_key=None):
         """Second dose against an existing badge: returns the extended
@@ -289,5 +273,4 @@ class PharmacySession:
         status_payload = StatusPayload(
             level=VaccinationLevel.FULLY, binding=status_binding, date=dose.date
         )
-        sig_badge, sig_status = self.signer.sign_badge_request(badge_info, status_payload)
-        return Badge(badge_info, sig_badge), Status(status_payload, sig_status)
+        return self._sign(badge_info, status_payload)

@@ -16,7 +16,6 @@ from typing import Optional
 from .credentials import (
     AppBinding,
     Badge,
-    BadgeInfo,
     Commitment,
     Passkey,
     PasskeyHash,
@@ -24,7 +23,7 @@ from .credentials import (
     TreeRoot,
     VaccinationLevel,
 )
-from .crypto import VerifyingKey, verify_canonical
+from .crypto import VerifyingKey
 from .errors import EmptyRequestError, VariantError
 from .merkle import verify_disclosure
 from .wallet import Presentation, PresentationKind
@@ -42,34 +41,23 @@ class ParsedBadge:
 
 
 def verify_badge(vk: VerifyingKey, badge) -> Optional[ParsedBadge]:
-    """Signature plus structural check; None on any failure."""
-    try:
-        if not isinstance(badge, Badge):
-            return None
-        if not verify_canonical(vk, badge.info.to_wire(), badge.signature):
-            return None
-        # round-trip through the wire form so hand-built objects get the
-        # same structural validation as decoded ones
-        info = BadgeInfo.from_wire(badge.info.to_wire())
-        return ParsedBadge(
-            dose_history=info.dose_history,
-            binding=info.binding,
-            coupon_id=info.coupon.coupon_id,
-        )
-    except Exception:
+    """Signature check (the constructor checked the structure); None on
+    any failure."""
+    if not isinstance(badge, Badge) or not badge.verify(vk):
         return None
+    info = badge.info
+    return ParsedBadge(
+        dose_history=info.dose_history,
+        binding=info.binding,
+        coupon_id=info.coupon.coupon_id,
+    )
 
 
 def verify_status(vk: VerifyingKey, status) -> Optional[VaccinationLevel]:
-    """None when the signature or structure is bad, the level otherwise."""
-    try:
-        if not isinstance(status, Status):
-            return None
-        if not verify_canonical(vk, status.payload.to_wire(), status.signature):
-            return None
-        return status.payload.level
-    except Exception:
+    """None when the signature is bad, the level otherwise."""
+    if not isinstance(status, Status) or not status.verify(vk):
         return None
+    return status.payload.level
 
 
 def verify_passkey_binding(credential, passkey) -> bool:
@@ -85,14 +73,7 @@ def verify_passkey_binding(credential, passkey) -> bool:
         return False
     if isinstance(binding, (TreeRoot, AppBinding)):
         raise VariantError("app credentials have no passkey to check")
-    if not isinstance(binding, (Commitment, PasskeyHash)):
-        return False
-    try:
-        if not isinstance(passkey, Passkey):
-            return False
-        return passkey.commitment() == binding.digest
-    except Exception:
-        return False
+    return isinstance(passkey, Passkey) and passkey.commitment() == binding.digest
 
 
 @dataclass(frozen=True)
@@ -116,8 +97,6 @@ def verify_presentation(keys, presentation, required_labels=()) -> object:
         accepted = _key_list(keys)
         if not isinstance(presentation, Presentation):
             return Reject("malformed")
-        # re-validate the structural pairing rules
-        presentation = Presentation.from_wire(presentation.to_wire())
         kind = presentation.kind
 
         if kind is PresentationKind.BADGE_ONLY:
@@ -154,8 +133,6 @@ def verify_presentation(keys, presentation, required_labels=()) -> object:
             if missing:
                 return Reject(f"missing-labels:{','.join(sorted(missing))}")
             return Verdict(level=level, disclosed=tuple(sorted(shown.items())))
-
-        return Reject("malformed")
     except Exception:
         return Reject("malformed")
 

@@ -13,9 +13,11 @@ version byte, a KDF salt, an AEAD nonce, and the sealed body.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import enum
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,8 +65,17 @@ class DisclosureConsent:
     labels: tuple = ()
 
 
+_PART_TYPES = {"status": Status, "badge": Badge, "passkey": Passkey, "proof": DisclosureProof}
+_PARTS_OF_KIND = {
+    PresentationKind.BADGE_ONLY: ("badge",),
+    PresentationKind.STATUS_ONLY: ("status",),
+    PresentationKind.STATUS_WITH_PASSKEY: ("status", "passkey"),
+    PresentationKind.STATUS_WITH_DISCLOSURE: ("status", "proof"),
+}
+
+
 @dataclass(frozen=True)
-class Presentation:
+class Presentation(canonical.Wire):
     kind: PresentationKind
     status: Optional[Status] = None
     badge: Optional[Badge] = None
@@ -72,29 +83,24 @@ class Presentation:
     proof: Optional[DisclosureProof] = None
 
     def __post_init__(self):
-        expected = {
-            PresentationKind.BADGE_ONLY: ("badge",),
-            PresentationKind.STATUS_ONLY: ("status",),
-            PresentationKind.STATUS_WITH_PASSKEY: ("status", "passkey"),
-            PresentationKind.STATUS_WITH_DISCLOSURE: ("status", "proof"),
-        }[self.kind]
-        for name in ("status", "badge", "passkey", "proof"):
+        if not isinstance(self.kind, PresentationKind):
+            raise CanonicalError(f"unknown presentation kind {self.kind!r}")
+        expected = _PARTS_OF_KIND[self.kind]
+        for name, typ in _PART_TYPES.items():
             value = getattr(self, name)
             if name in expected and value is None:
                 raise MissingCredentialError(f"{self.kind.value} needs {name}")
             if name not in expected and value is not None:
                 raise CanonicalError(f"{self.kind.value} must not carry {name}")
+            if value is not None and not isinstance(value, typ):
+                raise CanonicalError(f"presentation {name} must be a {typ.__name__}")
 
     def to_wire(self) -> dict:
         wire = {"kind": self.kind.value}
-        if self.status is not None:
-            wire["status"] = self.status.to_wire()
-        if self.badge is not None:
-            wire["badge"] = self.badge.to_wire()
-        if self.passkey is not None:
-            wire["passkey"] = self.passkey.to_wire()
-        if self.proof is not None:
-            wire["proof"] = self.proof.to_wire()
+        for name in _PART_TYPES:
+            value = getattr(self, name)
+            if value is not None:
+                wire[name] = value.to_wire()
         return wire
 
     @classmethod
@@ -105,22 +111,13 @@ class Presentation:
             kind = PresentationKind(obj["kind"])
         except ValueError:
             raise CanonicalError(f"unknown presentation kind {obj['kind']!r}") from None
-        parts = {"status": Status, "badge": Badge, "passkey": Passkey,
-                 "proof": DisclosureProof}
         kwargs = {}
-        for name, typ in parts.items():
+        for name, typ in _PART_TYPES.items():
             if name in obj:
                 kwargs[name] = typ.from_wire(obj[name])
         if set(obj) - {"kind"} != set(kwargs):
             raise CanonicalError("malformed presentation")
         return cls(kind=kind, **kwargs)
-
-    def to_bytes(self) -> bytes:
-        return canonical.encode(self.to_wire())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Presentation":
-        return cls.from_wire(canonical.decode(data))
 
 
 @dataclass
@@ -255,16 +252,15 @@ _WALLET_VERSION = b"\x01"
 _WALLET_INFO = b"vaxcred wallet v1"
 
 
+_STORED_TYPES = {"coupon": Coupon, "badge": Badge, "status": Status, "passkey": Passkey}
+
+
 def _wallet_wire(state: WalletState, passphrase: str) -> dict:
     wire = {"variant": state.variant}
-    if state.coupon is not None:
-        wire["coupon"] = state.coupon.to_wire()
-    if state.badge is not None:
-        wire["badge"] = state.badge.to_wire()
-    if state.status is not None:
-        wire["status"] = state.status.to_wire()
-    if state.passkey is not None:
-        wire["passkey"] = state.passkey.to_wire()
+    for name in _STORED_TYPES:
+        value = getattr(state, name)
+        if value is not None:
+            wire[name] = value.to_wire()
     if state.key is not None:
         wire["key"] = state.key.seal(passphrase)
     if state.pii_tree is not None:
@@ -275,21 +271,18 @@ def _wallet_wire(state: WalletState, passphrase: str) -> dict:
 def _wallet_from_wire(obj: dict, passphrase: str) -> WalletState:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise CanonicalError("malformed wallet body")
-    allowed = {"variant", "coupon", "badge", "status", "passkey", "key", "leaves"}
-    if set(obj) - allowed:
+    if set(obj) - {"variant", "key", "leaves", *_STORED_TYPES}:
         raise CanonicalError("malformed wallet body")
     tree = None
     if "leaves" in obj:
         leaves = [(l, v, s) for l, v, s in obj["leaves"]]
         tree = PiiTree.from_leaves(leaves)
+    stored = {n: typ.from_wire(obj[n]) for n, typ in _STORED_TYPES.items() if n in obj}
     return WalletState(
         variant=obj["variant"],
-        coupon=Coupon.from_wire(obj["coupon"]) if "coupon" in obj else None,
-        badge=Badge.from_wire(obj["badge"]) if "badge" in obj else None,
-        status=Status.from_wire(obj["status"]) if "status" in obj else None,
-        passkey=Passkey.from_wire(obj["passkey"]) if "passkey" in obj else None,
         key=KeyHandle.unseal(obj["key"], passphrase) if "key" in obj else None,
         pii_tree=tree,
+        **stored,
     )
 
 
@@ -299,8 +292,26 @@ def save_wallet(state: WalletState, path, passphrase: str) -> None:
     nonce = os.urandom(12)
     key = _passphrase_key(passphrase, kdf_salt)
     sealed = ChaCha20Poly1305(key).encrypt(nonce, body, _WALLET_INFO)
-    with open(path, "wb") as fh:
-        fh.write(_WALLET_VERSION + kdf_salt + nonce + sealed)
+    write_atomic(path, _WALLET_VERSION + kdf_salt + nonce + sealed)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at ``path`` so that a failed write leaves the old
+    one whole: write a temporary file in the same directory, fsync it,
+    then rename it over ``path``. Wallets and distributor state have no
+    other copy."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_wallet(path, passphrase: str) -> WalletState:

@@ -108,6 +108,22 @@ def test_distribute_in_index_order(issuer):
         batch.distribute(_record())
 
 
+def test_distribute_resumes_a_restored_batch(issuer):
+    """A shuffled batch restored with some indices already released (as
+    the CLI's state file restores it) hands out the lowest unreleased
+    index, then each later one once, then reports exhaustion."""
+    import random
+
+    coupons = issue_coupon_batch(issuer, 6, "02139", "healthcare")
+    random.Random(7).shuffle(coupons)
+    batch = DistributorBatch(coupons=coupons, released={0, 1, 3})
+    got = [batch.distribute(_record(subject_ref=f"S-{i}")).payload.index for i in range(3)]
+    assert got == [2, 4, 5]
+    assert batch.released == {0, 1, 2, 3, 4, 5} and batch.remaining == 0
+    with pytest.raises(BatchExhaustedError):
+        batch.distribute(_record())
+
+
 def test_distribute_rejects_unapproved(issuer):
     batch = DistributorBatch(coupons=issue_coupon_batch(issuer, 1, "02139", "healthcare"))
     with pytest.raises(NotEligibleError):

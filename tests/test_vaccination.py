@@ -1,6 +1,8 @@
 """Pharmacy flows: admission, credential issuance, second doses, and the
 registry/signing interplay (atomicity, idempotent retries, offline signer)."""
 
+import dataclasses
+
 import pytest
 
 from vaxcred.coupons import Coupon, CouponPayload, issue_coupon_batch
@@ -105,9 +107,36 @@ def test_paper_issue_round(issuer_key, registry, coupon, session):
     assert badge.info.binding.digest == status.payload.binding.digest
 
 
+def _text_reachable(value, depth=0):
+    """Every str and bytes reachable from ``value`` through object
+    attributes and containers, a few levels deep."""
+    if isinstance(value, (str, bytes)):
+        yield value
+        return
+    if depth > 4:
+        return
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        items = value
+    else:  # attributes, including the fields of slotted dataclasses
+        items = [*getattr(value, "__dict__", {}).values()]
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            items += [getattr(value, f.name) for f in dataclasses.fields(value)]
+    for item in items:
+        yield from _text_reachable(item, depth + 1)
+
+
 def test_paper_issue_drops_pii_by_default(session, coupon):
-    _ = session.issue_credentials_paper(coupon, _dose(), PII)
-    assert session.retained == []
+    """After issuing, nothing the session holds (its signer and registry
+    included) contains an identity value or the commitment salt."""
+    _, _, passkey = session.issue_credentials_paper(coupon, _dose(), PII)
+    held = list(_text_reachable(session))
+    assert any(isinstance(v, bytes) for v in held)  # the scan reaches stored bytes
+    for label, value in PII:
+        assert not any(value in v for v in held if isinstance(v, str))
+        assert not any(value.encode() in v for v in held if isinstance(v, bytes))
+    assert not any(passkey.salt in v for v in held if isinstance(v, bytes))
 
 
 def test_app_issue_round(issuer_key, registry, coupon, session, rng):

@@ -1,5 +1,9 @@
 """Wallet state, consent-gated presentations, encrypted persistence."""
 
+import builtins
+import errno
+import os
+
 import pytest
 
 from vaxcred.coupons import issue_coupon_batch
@@ -199,6 +203,50 @@ def test_save_load_round_trip_paper(tmp_path, paper_wallet):
     assert loaded.status.to_bytes() == paper_wallet.status.to_bytes()
     assert loaded.passkey.to_bytes() == paper_wallet.passkey.to_bytes()
     assert loaded.coupon.to_bytes() == paper_wallet.coupon.to_bytes()
+
+
+class _HalfWrittenFile:
+    """A file whose first write stores half the data, then fails as a full
+    disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "disk full (injected)")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _failing_writes(opener):
+    def wrapped(file, mode="r", *args, **kwargs):
+        fh = opener(file, mode, *args, **kwargs)
+        return _HalfWrittenFile(fh) if "w" in mode else fh
+    return wrapped
+
+
+def test_failed_save_keeps_the_previous_wallet(tmp_path, paper_wallet, monkeypatch):
+    """A write that fails part-way must not destroy the only copy of the
+    passkey: the wallet saved before it still loads."""
+    path = tmp_path / "w.bin"
+    save_wallet(paper_wallet, path, "pw")
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", _failing_writes(builtins.open))
+        m.setattr(os, "fdopen", _failing_writes(os.fdopen))
+        with pytest.raises(OSError):
+            save_wallet(wallet_init_paper(), path, "pw")
+    loaded = load_wallet(path, "pw")
+    assert loaded.passkey == paper_wallet.passkey
+    assert sorted(os.listdir(tmp_path)) == ["w.bin"]  # no temporary file left
 
 
 def test_save_load_round_trip_app(tmp_path, app_wallet):

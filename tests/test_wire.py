@@ -120,6 +120,35 @@ def test_qr_keyed_decode_checks_signatures(artifacts, issuer_key, rng):
             decode_qr(encode_qr(obj), **{kw: wrong})
 
 
+def test_envelope_constructors_check_the_signature(artifacts):
+    """Coupon, Badge and Status refuse a signature that is not 64 bytes
+    and a body of the wrong type when built, not only when decoded."""
+    for obj in artifacts[:3]:
+        cls, body = type(obj), obj.body
+        with pytest.raises(CanonicalError):
+            cls(body, obj.signature[:63])
+        with pytest.raises(CanonicalError):
+            cls(body, obj.signature.hex())
+        with pytest.raises(CanonicalError):
+            cls(artifacts[3], obj.signature)  # a passkey is no body
+        assert cls(body, obj.signature) == obj
+
+
+def test_decoded_envelopes_verify_over_the_bytes_received(artifacts, issuer_key,
+                                                          monkeypatch):
+    """A decoded envelope keeps its body's input bytes: verifying encodes
+    nothing, and the kept bytes take no part in == or repr."""
+    for obj in artifacts[:3]:
+        raw = obj.to_bytes()
+        decoded = type(obj).from_bytes(raw)
+        assert decoded.body.to_bytes() in raw
+        with monkeypatch.context() as m:
+            m.setattr(canonical, "encode", None)  # any encode would fail
+            assert decoded.verify(issuer_key)
+        fresh = type(obj)(type(obj.body).from_wire(obj.body.to_wire()), obj.signature)
+        assert decoded == fresh and repr(decoded) == repr(fresh)
+
+
 def test_qr_unencodable_type():
     with pytest.raises(UnknownPrefixError):
         encode_qr("just a string")
