@@ -10,7 +10,7 @@ artifacts small enough for QR codes and short links.
 Supported values: int (unsigned 64-bit), bool, bytes, str, list, dict with
 str keys, and ``Encoded`` bytes that are already canonical. None is not
 encodable; optional fields are simply omitted. Decoded maps remember the
-exact bytes they came from (``DecodedMap.raw``).
+exact bytes they came from (``DecodedMap.raw``, a view).
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ class Encoded:
 
 
 class DecodedMap(dict):
-    """A map returned by ``decode``. ``raw`` is the exact input bytes it
-    was decoded from, so a signed body is checked over the bytes that
-    arrived rather than a re-encoding of them."""
+    """A map returned by ``decode``. ``raw`` is a view of the exact input
+    bytes it was decoded from, so a signed body is checked over the bytes
+    that arrived rather than a re-encoding of them. Only a body that is
+    kept copies its view."""
 
     __slots__ = ("raw",)
 
@@ -216,7 +217,7 @@ def _decode_at(data: bytes, offset: int, depth: int):
             prev_key = key_bytes
             value, offset = _decode_at(data, offset, depth + 1)
             result[key] = value
-        result.raw = data[start:offset]
+        result.raw = memoryview(data)[start:offset]
         return result, offset
     raise CanonicalError(f"unknown type tag 0x{tag:02x}")
 

@@ -102,8 +102,8 @@ class VerifyingKey:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "VerifyingKey":
-        if not isinstance(obj, dict):
-            raise CanonicalError("verifying key must be a map")
+        if not isinstance(obj, dict) or set(obj) != {"keys", "scheme"}:
+            raise CanonicalError("malformed verifying key")
         return cls(key_bytes=_expect_bytes(obj, "keys", 64), scheme=_expect_text(obj, "scheme"))
 
     def hex(self) -> str:
@@ -256,12 +256,9 @@ class SignedBody:
 
     @classmethod
     def parse(cls, wire) -> "SignedBody":
-        """``from_wire`` that keeps the exact bytes a decoded map came from.
-        Also takes the ``Encoded`` body that ``SignedEnvelope.to_wire`` gives."""
-        if isinstance(wire, canonical.Encoded):
-            wire = canonical.decode(wire.data)
+        """``from_wire`` that keeps the exact bytes a decoded map came from."""
         body = cls.from_wire(wire)
-        return body._keep(wire.raw) if isinstance(wire, canonical.DecodedMap) else body
+        return body._keep(bytes(wire.raw)) if isinstance(wire, canonical.DecodedMap) else body
 
 
 class SignedEnvelope(canonical.Wire):
@@ -338,6 +335,8 @@ class PkCiphertext:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "PkCiphertext":
+        if not isinstance(obj, dict) or set(obj) != {"body", "eph", "nonce"}:
+            raise CanonicalError("malformed ciphertext")
         return cls(
             ephemeral_pub=_expect_bytes(obj, "eph", 32),
             nonce=_expect_bytes(obj, "nonce", 12),

@@ -41,6 +41,17 @@ def node_digest(left: bytes, right: bytes) -> bytes:
     return tagged_hash(TAG_NODE, left + right)
 
 
+def _is_text(value) -> bool:
+    """A str that has a UTF-8 form, so that ``leaf_digest`` can hash it."""
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class PiiTree:
     """Full tree: leaves with salts plus every internal level."""
@@ -114,8 +125,8 @@ class DisclosureProof(canonical.Wire):
             if not isinstance(item, tuple) or len(item) != 3:
                 raise CanonicalError("bad disclosed entry")
             label, value, salt = item
-            if not isinstance(label, str) or not isinstance(value, str):
-                raise CanonicalError("disclosed label/value must be text")
+            if not _is_text(label) or not _is_text(value):
+                raise CanonicalError("disclosed label/value must be UTF-8 text")
             if not isinstance(salt, bytes) or len(salt) != SALT_LEN:
                 raise CanonicalError("bad leaf salt")
         for path in self.paths:

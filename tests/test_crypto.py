@@ -138,6 +138,16 @@ def test_pk_ciphertext_wire_round_trip(rng):
     assert handle.decrypt(again) == b"abc"
 
 
+def test_key_and_ciphertext_decoders_refuse_extra_keys(rng):
+    _, vk = generate_keypair(rng)
+    box = encrypt_to(vk, b"abc", rng=rng)
+    for cls, wire in ((VerifyingKey, vk.to_wire()), (PkCiphertext, box.to_wire())):
+        with pytest.raises(CanonicalError):
+            cls.from_wire({**wire, "x": b"hidden"})
+        with pytest.raises(CanonicalError):
+            cls.from_wire(list(wire.items()))
+
+
 def test_ciphertext_never_contains_plaintext(rng):
     _, vk = generate_keypair(rng)
     secret = b"very-identifiable-plaintext"

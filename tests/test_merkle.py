@@ -177,6 +177,11 @@ def test_verify_is_total_on_garbage(rng):
     # a malformed proof cannot be built by hand: the constructor refuses it
     with pytest.raises(CanonicalError):
         DisclosureProof(disclosed=(("a", "b", b"x" * 16),), paths=((),), root=b"y" * 31)
+    # nor can one whose text has no UTF-8 form for the leaf hash
+    for label, value in (("\udc80", "b"), ("a", "\ud800")):
+        with pytest.raises(CanonicalError):
+            DisclosureProof(disclosed=((label, value, b"x" * 16),), paths=((),),
+                            root=tree.root)
 
 
 def test_tree_rebuild_from_leaves_is_stable(rng):

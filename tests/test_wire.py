@@ -7,7 +7,7 @@ import pytest
 
 from vaxcred import canonical
 from vaxcred.coupons import issue_coupon_batch
-from vaxcred.credentials import Badge, DoseInfo, Passkey, Status, VaccinationLevel
+from vaxcred.credentials import Badge, BadgeInfo, DoseInfo, Passkey, Status, VaccinationLevel
 from vaxcred.crypto import generate_keypair, sha256
 from vaxcred.errors import (
     AlreadyUsedError,
@@ -145,8 +145,77 @@ def test_decoded_envelopes_verify_over_the_bytes_received(artifacts, issuer_key,
         with monkeypatch.context() as m:
             m.setattr(canonical, "encode", None)  # any encode would fail
             assert decoded.verify(issuer_key)
-        fresh = type(obj)(type(obj.body).from_wire(obj.body.to_wire()), obj.signature)
-        assert decoded == fresh and repr(decoded) == repr(fresh)
+        assert decoded == obj and repr(decoded) == repr(obj)
+
+
+@pytest.fixture
+def app_pair(issuer, issuer_key, registry, rng):
+    """An app-variant badge and status, whose status carries a holder key."""
+    coupon = issue_coupon_batch(issuer, 1, "02139", "retail",
+                                registry=registry, start_index=40)[0]
+    session = PharmacySession(vk_issuer=issuer_key, registry=registry,
+                              signer=BadgeIssuer(issuer, registry), rng=rng)
+    dose = DoseInfo(product="VX-ALPHA", lot="L-8", date="2021-03-04",
+                    dose_number=1, site_id="S-02")
+    tree = build_pii_tree([("name", "Acer Rubrum")], rng=rng)
+    _, holder_key = generate_keypair(rng)
+    return session.issue_credentials_app(coupon, dose, tree.root, holder_key)
+
+
+def _map_paths(value, path=()):
+    """The path of every map nested in a decoded value, itself included."""
+    if isinstance(value, dict):
+        yield path
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _map_paths(item, path + (key,))
+
+
+def _with_extra_key(value, path):
+    """A copy of a decoded value with one more key in the map at path."""
+    if not path:
+        return {**value, "x": b"hidden"}
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _with_extra_key(value[path[0]], path[1:])
+    return copy
+
+
+def test_every_nested_map_refuses_an_extra_key(artifacts, app_pair):
+    """A decoded signed body keeps the bytes it arrived as, so each of its
+    maps must be read whole: an unread key would ride along, signed."""
+    for obj in (*artifacts, *app_pair):
+        wire = canonical.decode(obj.to_bytes())
+        for path in _map_paths(wire):
+            data = canonical.encode(_with_extra_key(wire, path))
+            with pytest.raises(CanonicalError):
+                type(obj).from_bytes(data)
+
+
+def test_signing_request_with_an_extra_key_is_refused(issuer, registry, app_pair):
+    """A request whose holder key map carries an extra key, under a correct
+    digest, gets no signature and leaves the registry untouched; the same
+    request without the key is signed."""
+    badge, status = app_pair
+    coupon = issue_coupon_batch(issuer, 1, "02139", "retail",
+                                registry=registry, start_index=41)[0]
+    info = BadgeInfo(dose_history=badge.info.dose_history, coupon=coupon,
+                     binding=badge.info.binding)
+    frame = canonical.decode(encode_request(info, status.payload))
+
+    def send(status_wire):
+        body = {"badge": frame["badge"], "status": status_wire}
+        request = {**body, "req": sha256(canonical.encode(body))}
+        return canonical.decode(handle_request_bytes(
+            BadgeIssuer(issuer, registry), canonical.encode(request)))
+
+    out = send(_with_extra_key(frame["status"], ("binding", "key")))
+    assert out == {"error": "canonical", "ok": False}
+    assert not registry.check(coupon.coupon_id).is_used
+    assert send(frame["status"])["ok"] is True
 
 
 def test_qr_unencodable_type():
