@@ -12,6 +12,7 @@ Exit codes: 0 success/accept, 2 typed protocol rejection, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as _dt
 import json
 import os
@@ -193,6 +194,7 @@ def cmd_issuer_serve(args) -> int:
             pass
         finally:
             server.shutdown()
+            server.server_close()
     return 0
 
 
@@ -242,19 +244,27 @@ def cmd_pharmacy_admit(args) -> int:
     return 0 if decision.admitted else 2
 
 
-def _pharmacy_session(args, registry: Registry) -> PharmacySession:
-    return PharmacySession(
-        vk_issuer=_load_pub(args.issuer_pub),
-        registry=registry,
-        signer=_signer(args, registry),
-        today=_today(args),
-    )
+@contextlib.contextmanager
+def _pharmacy_session(args):
+    """A counter session on the local registry; a --service client's
+    connection is closed when the session ends."""
+    with Registry(_registry_path(args)) as registry:
+        signer = _signer(args, registry)
+        try:
+            yield PharmacySession(
+                vk_issuer=_load_pub(args.issuer_pub),
+                registry=registry,
+                signer=signer,
+                today=_today(args),
+            )
+        finally:
+            if isinstance(signer, SigningClient):
+                signer.close()
 
 
 def cmd_pharmacy_vaccinate(args) -> int:
     coupon = _decode_coupon(args)
-    with Registry(_registry_path(args)) as registry:
-        session = _pharmacy_session(args, registry)
+    with _pharmacy_session(args) as session:
         dose = _dose_from_args(args, 1)
         if args.variant == "paper":
             badge, status, passkey = session.issue_credentials_paper(
@@ -277,8 +287,7 @@ def cmd_pharmacy_vaccinate(args) -> int:
 
 def cmd_pharmacy_second_dose(args) -> int:
     badge = qr.decode_qr(_read_arg(args.badge), Badge)
-    with Registry(_registry_path(args)) as registry:
-        session = _pharmacy_session(args, registry)
+    with _pharmacy_session(args) as session:
         user_key = _load_pub(args.user_pub) if args.user_pub else None
         new_badge, status = session.second_dose(
             badge, _dose_from_args(args, 2), user_key=user_key

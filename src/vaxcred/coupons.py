@@ -94,8 +94,7 @@ def issue_coupon_batch(
         for i in range(start_index, start_index + n)
     ]
     if registry is not None:
-        for c in coupons:
-            registry.register(c.coupon_id)
+        registry.register_many(c.coupon_id for c in coupons)
     return coupons
 
 

@@ -3,8 +3,9 @@
 Tracks each coupon id through unused -> dose1 -> dose2 under a lock, so
 concurrent redemptions of the same coupon serialize and exactly one wins.
 Every transition is appended to a JSON-lines log before the call returns;
-replaying the log reproduces the in-memory state, tolerating a torn final
-line from a crash mid-append.
+replaying the log reproduces the in-memory state. A record counts once its
+newline is on disk: opening the log cuts a torn final line left by a crash
+mid-append, so the next append starts on a line of its own.
 
 Retries are recognized by request digest: a transition replayed with the
 digest already on file is a no-op success instead of a double-use error.
@@ -14,7 +15,9 @@ leaves the registry refusing further work.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import fcntl
 import json
 import os
 import threading
@@ -47,11 +50,24 @@ class CouponState:
 
 
 class _Entry:
-    __slots__ = ("state", "requests")
+    """One coupon's stage, latest dose date and the request digest of each
+    dose taken; kept small, as a registry holds one per coupon issued."""
+
+    __slots__ = ("stage", "date", "req1", "req2")
 
     def __init__(self):
-        self.state = CouponState(Stage.UNUSED)
-        self.requests = {}  # dose number -> request digest hex
+        self.stage = Stage.UNUSED
+        self.date = None
+        self.req1 = None
+        self.req2 = None
+
+    def move(self, stage: Stage, date: Optional[str], digest: Optional[bytes]) -> None:
+        self.stage, self.date = stage, date
+        if digest is not None:
+            if stage is Stage.DOSE1:
+                self.req1 = digest
+            else:
+                self.req2 = digest
 
 
 class Registry:
@@ -65,35 +81,54 @@ class Registry:
         self._log_path = os.fspath(log_path) if log_path is not None else None
         self._log_fh = None
         if self._log_path is not None:
-            if os.path.exists(self._log_path):
-                self._replay_file(self._log_path)
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
+            try:
+                with self._file_lock():
+                    self._replay_file()
+            except BaseException:
+                self._log_fh.close()
+                raise
 
     # -- logging ---------------------------------------------------------
 
-    def _append(self, record: dict) -> None:
-        self._seq += 1
-        record["seq"] = self._seq
-        if self._log_fh is not None:
-            self._log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._log_fh.flush()
-            os.fsync(self._log_fh.fileno())
+    @contextlib.contextmanager
+    def _file_lock(self):
+        """Exclusive lock on the log file, so that no other process reads a
+        record half written, or appends while a torn tail is being cut."""
+        fd = self._log_fh.fileno()
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
 
-    def _replay_file(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
+    def _append(self, records: list) -> None:
+        """Number the records; with a log, write them all, then one fsync."""
+        for record in records:
+            self._seq += 1
+            record["seq"] = self._seq
+        if self._log_fh is not None:
+            data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+            with self._file_lock():
+                self._log_fh.write(data)
+                self._log_fh.flush()
+                os.fsync(self._log_fh.fileno())
+
+    def _replay_file(self) -> None:
+        """Apply every newline-terminated record, then cut what follows the
+        last newline: a torn append, never acknowledged to its caller."""
+        with open(self._log_path, "rb") as fh:
             data = fh.read()
-        lines = data.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for i, line in enumerate(lines):
+        complete = data.rfind(b"\n") + 1
+        for i, line in enumerate(data[:complete].split(b"\n")[:-1]):
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn final line from a crash mid-append
-                raise CanonicalError(f"corrupt registry log at line {i + 1}")
+            except ValueError:
+                raise CanonicalError(f"corrupt registry log at line {i + 1}") from None
             self._apply(record)
             self._seq = max(self._seq, int(record.get("seq", 0)))
+        if complete < len(data):
+            os.ftruncate(self._log_fh.fileno(), complete)
 
     def _apply(self, record: dict) -> None:
         op = record.get("op")
@@ -106,14 +141,10 @@ class Registry:
             self._entries.setdefault(cid, _Entry())
             return
         if op in ("dose1", "dose2"):
-            entry = self._entries.setdefault(cid, _Entry())
-            dose = 1 if op == "dose1" else 2
-            entry.state = CouponState(
-                Stage.DOSE1 if dose == 1 else Stage.DOSE2, record.get("date")
-            )
             req = record.get("req")
-            if req:
-                entry.requests[dose] = req
+            self._entries.setdefault(cid, _Entry()).move(
+                Stage(op), record.get("date"), bytes.fromhex(req) if req else None
+            )
             return
         raise CanonicalError(f"unknown registry record op {op!r}")
 
@@ -129,7 +160,7 @@ class Registry:
             entry = self._entries.get(coupon_id)
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
-            return entry.state
+            return CouponState(entry.stage, entry.date)
 
     def known(self, coupon_id: bytes) -> bool:
         with self._lock:
@@ -147,22 +178,29 @@ class Registry:
     def snapshot(self) -> dict:
         """Hex id -> (stage value, date), for state comparisons in tests."""
         with self._lock:
-            return {
-                cid.hex(): (e.state.stage.value, e.state.date)
-                for cid, e in self._entries.items()
-            }
+            return {cid.hex(): (e.stage.value, e.date) for cid, e in self._entries.items()}
 
     # -- transitions -----------------------------------------------------
 
     def register(self, coupon_id: bytes) -> None:
-        if not isinstance(coupon_id, bytes) or len(coupon_id) != 32:
-            raise CanonicalError("coupon id must be 32 bytes")
+        self.register_many([coupon_id])
+
+    def register_many(self, coupon_ids) -> None:
+        """Register every id not yet known as unused, with one log write and
+        one fsync for all of them. A known coupon is never downgraded."""
+        coupon_ids = list(coupon_ids)
+        for coupon_id in coupon_ids:
+            if not isinstance(coupon_id, bytes) or len(coupon_id) != 32:
+                raise CanonicalError("coupon id must be 32 bytes")
         with self._lock:
             self._guard()
-            if coupon_id in self._entries:
-                return  # never downgrade a known coupon
-            self._entries[coupon_id] = _Entry()
-            self._append({"cid": coupon_id.hex(), "op": "register", "date": None})
+            fresh = [c for c in dict.fromkeys(coupon_ids) if c not in self._entries]
+            for coupon_id in fresh:
+                self._entries[coupon_id] = _Entry()
+            if fresh:
+                self._append(
+                    [{"cid": c.hex(), "op": "register", "date": None} for c in fresh]
+                )
 
     def mark_used(
         self,
@@ -176,39 +214,31 @@ class Registry:
         """
         if dose not in (1, 2):
             raise InvalidTransitionError(f"dose must be 1 or 2, got {dose}")
-        req_hex = request_digest.hex() if request_digest else None
+        req = bytes(request_digest) if request_digest else None
         with self._lock:
             self._guard()
             entry = self._entries.get(coupon_id)
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
-            stage = entry.state.stage
+            stage = entry.stage
             if dose == 1:
-                if stage is Stage.UNUSED:
-                    pass
-                elif req_hex is not None and entry.requests.get(1) == req_hex:
-                    return False
-                else:
+                if stage is not Stage.UNUSED:
+                    if req is not None and entry.req1 == req:
+                        return False
                     raise AlreadyUsedError(coupon_id.hex())
             else:
                 if stage is Stage.UNUSED:
                     raise InvalidTransitionError("second dose before first")
                 if stage is Stage.DOSE2:
-                    if req_hex is not None and entry.requests.get(2) == req_hex:
+                    if req is not None and entry.req2 == req:
                         return False
                     raise AlreadyUsedError(coupon_id.hex())
             new_stage = Stage.DOSE1 if dose == 1 else Stage.DOSE2
-            entry.state = CouponState(new_stage, date)
-            if req_hex is not None:
-                entry.requests[dose] = req_hex
-            record = {
-                "cid": coupon_id.hex(),
-                "op": new_stage.value,
-                "date": date,
-            }
-            if req_hex is not None:
-                record["req"] = req_hex
-            self._append(record)
+            entry.move(new_stage, date, req)
+            record = {"cid": coupon_id.hex(), "op": new_stage.value, "date": date}
+            if req is not None:
+                record["req"] = req.hex()
+            self._append([record])
             return True
 
     def dismantle(self, *, administrative: bool = False) -> None:

@@ -2,10 +2,18 @@
 
 The pharmacy sends one frame per request — the canonical encoding of
 {"badge": ..., "req": digest, "status": ...} — and reads one response
-frame back, either signatures or a typed error code. Connection failures
-surface as ServiceUnreachableError on the client with no registry effect;
-a retry of the identical request is safe because the issuer recognizes
-the digest.
+frame back, either signatures or a typed error code.
+
+A client keeps one connection and sends its requests on it in turn. When
+a reused connection fails, the client re-sends the identical frame once
+on a new connection: the issuer recognizes the repeated digest as a
+retry, so the registry moves at most once and the signatures are the
+same. A failure on a new connection surfaces as ServiceUnreachableError.
+
+The server closes a connection that sends no frame for _IDLE_TIMEOUT
+seconds, serves at most _MAX_CONNECTIONS connections at once (one more is
+closed before any frame is read), and closes its live connections when
+it is closed.
 """
 
 from __future__ import annotations
@@ -21,28 +29,28 @@ from .errors import CanonicalError, ServiceUnreachableError, VaxError
 from .vaccination import BadgeIssuer, signing_request
 
 _MAX_FRAME = 1 << 20  # 1 MiB is far beyond any legitimate request
+_IDLE_TIMEOUT = 60.0  # seconds a server connection may wait for its next frame
+_MAX_CONNECTIONS = 32  # connections, each with its handler thread, served at once
 
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+def _recv_exact(rfile, n: int) -> bytes:
+    data = rfile.read(n)
+    if len(data) < n:
+        raise ConnectionError("peer closed mid-frame")
+    return data
 
 
-def _recv_frame(sock: socket.socket) -> bytes:
-    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+def _recv_frame(rfile) -> bytes:
+    """One frame from a buffered reader over the socket, which takes the
+    header and a small body in one recv."""
+    (length,) = struct.unpack(">I", _recv_exact(rfile, 4))
     if length > _MAX_FRAME:
         raise CanonicalError(f"frame of {length} bytes exceeds limit")
-    return _recv_exact(sock, length)
+    return _recv_exact(rfile, length)
 
 
 def encode_request(badge_info: BadgeInfo, status_payload: StatusPayload) -> bytes:
@@ -65,10 +73,13 @@ def handle_request_bytes(issuer: BadgeIssuer, data: bytes) -> bytes:
             raise CanonicalError("malformed signing request")
         badge_info = BadgeInfo.parse(obj["badge"])
         status_payload = StatusPayload.parse(obj["status"])
-        _, digest = signing_request(badge_info.to_bytes(), status_payload.to_bytes())
+        badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
+        request, digest = signing_request(badge_bytes, status_bytes)
         if digest != obj["req"]:
             raise CanonicalError("request digest mismatch")
-        sig_badge, sig_status = issuer.sign_badge_request(badge_info, status_payload)
+        sig_badge, sig_status = issuer._sign_request(
+            badge_info, status_payload, badge_bytes, status_bytes, request, digest
+        )
     except VaxError as exc:
         return canonical.encode({"error": exc.code, "ok": False})
     except Exception:
@@ -82,21 +93,52 @@ class SigningServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address, issuer: BadgeIssuer):
         self.issuer = issuer
+        self._live = set()  # connections admitted and not yet closed
+        self._live_lock = threading.Lock()
         super().__init__(address, _Handler)
 
     @property
     def port(self) -> int:
         return self.server_address[1]
 
+    def verify_request(self, request, client_address) -> bool:
+        """Admit a connection while fewer than _MAX_CONNECTIONS are live;
+        a refused one is closed unread."""
+        with self._live_lock:
+            if len(self._live) >= _MAX_CONNECTIONS:
+                return False
+            self._live.add(request)
+            return True
 
-class _Handler(socketserver.BaseRequestHandler):
+    def shutdown_request(self, request) -> None:
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and every live connection, then wait for the
+        handler threads. Call after shutdown()."""
+        with self._live_lock:
+            for sock in self._live:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes a handler blocked in recv
+                except OSError:
+                    pass  # the peer is already gone
+        super().server_close()
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        self.request.settimeout(_IDLE_TIMEOUT)
+        super().setup()
+
     def handle(self):
         try:
             while True:
-                data = _recv_frame(self.request)
+                data = _recv_frame(self.rfile)
                 _send_frame(self.request, handle_request_bytes(self.server.issuer, data))
-        except (ConnectionError, OSError):
-            return  # client went away; nothing to clean up
+        except OSError:
+            return  # client went away, idled out or the server is closing
 
 
 def serve(issuer: BadgeIssuer, host: str = "127.0.0.1", port: int = 0) -> SigningServer:
@@ -108,21 +150,20 @@ def serve(issuer: BadgeIssuer, host: str = "127.0.0.1", port: int = 0) -> Signin
 
 
 class SigningClient:
-    """Drop-in `signer` for PharmacySession that talks to a remote issuer."""
+    """Drop-in `signer` for PharmacySession that talks to a remote issuer
+    over one kept connection; close() releases it."""
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._sock = self._rfile = None
+        self._lock = threading.Lock()  # one request at a time on the connection
 
     def sign_badge_request(self, badge_info: BadgeInfo, status_payload: StatusPayload):
         request = encode_request(badge_info, status_payload)
-        try:
-            with socket.create_connection((self.host, self.port), self.timeout) as sock:
-                _send_frame(sock, request)
-                response = _recv_frame(sock)
-        except OSError as exc:
-            raise ServiceUnreachableError(f"signing service: {exc}") from exc
+        with self._lock:
+            response = self._exchange(request)
         obj = canonical.decode(response)
         if not isinstance(obj, dict) or "ok" not in obj:
             raise CanonicalError("malformed signing response")
@@ -133,3 +174,34 @@ class SigningClient:
         if set(obj) != {"error", "ok"}:
             raise CanonicalError("malformed signing response")
         raise errors.error_from_code(obj["error"])
+
+    def _exchange(self, request: bytes) -> bytes:
+        """Send one frame and read the reply. A failure on a reused
+        connection re-sends the frame on a new one; a failure on a new
+        connection raises ServiceUnreachableError."""
+        while True:
+            reused = self._sock is not None
+            try:
+                if not reused:
+                    self._sock = socket.create_connection((self.host, self.port), self.timeout)
+                    self._rfile = self._sock.makefile("rb")
+                _send_frame(self._sock, request)
+                return _recv_frame(self._rfile)
+            except OSError as exc:
+                self._drop()
+                if not reused:
+                    raise ServiceUnreachableError(f"signing service: {exc}") from exc
+            except BaseException:
+                self._drop()  # the stream may be left mid-frame
+                raise
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
+
+    def close(self) -> None:
+        """Close the kept connection; a later request opens a new one."""
+        with self._lock:
+            self._drop()

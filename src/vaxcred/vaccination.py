@@ -112,7 +112,17 @@ class BadgeIssuer:
         On any raise the registry is untouched (validation happens first,
         and the one registry call is itself atomic)."""
         badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
-        request, digest = signing_request(badge_bytes, status_bytes)
+        return self._sign_request(
+            badge_info, status_payload, badge_bytes, status_bytes,
+            *signing_request(badge_bytes, status_bytes),
+        )
+
+    def _sign_request(self, badge_info: BadgeInfo, status_payload: StatusPayload,
+                      badge_bytes: bytes, status_bytes: bytes,
+                      request: bytes, digest: bytes):
+        """sign_badge_request for a caller that already holds the bodies'
+        bytes and their signing_request (request, digest), as the signing
+        server does after checking a frame's digest."""
         self.received_requests.append(request)
 
         if not verify_coupon(self._coupon_key, badge_info.coupon):

@@ -5,6 +5,12 @@ import json
 import pytest
 
 from vaxcred import cli
+from vaxcred.coupons import Coupon
+from vaxcred.crypto import KeyHandle
+from vaxcred.qr import decode_qr
+from vaxcred.registry import Registry, Stage
+from vaxcred.service import SigningClient, serve
+from vaxcred.vaccination import BadgeIssuer
 
 
 @pytest.fixture
@@ -124,6 +130,33 @@ def test_pharmacy_paper_round_and_double_spend(capsys, env):
         "--issuer-pub", "@" + str(env / "issuer.key.pub"),
     )
     assert code == 2 and out.startswith("reject:")  # rejection exits nonzero
+
+
+def test_pharmacy_vaccinate_through_the_signing_service(capsys, env, monkeypatch):
+    """--service signs over the wire and closes the client's connection."""
+    batch = _issue_batch(capsys, env, n=1)
+    handle = KeyHandle.unseal((env / "issuer.key").read_bytes(), "marmot circus tundra")
+    closed = []
+    close = SigningClient.close
+    monkeypatch.setattr(SigningClient, "close", lambda self: closed.append(close(self)))
+    with Registry(env / "registry.jsonl") as registry:
+        server = serve(BadgeIssuer(handle, registry))
+        try:
+            code, out, err = run(
+                capsys, "pharmacy", "vaccinate", "--coupon", batch[0],
+                "--issuer-pub", "@" + str(env / "issuer.key.pub"),
+                "--variant", "paper", "--pii", "name=Ada Q", "--pii", "dob=1970-01-01",
+                "--product", "VX-ALPHA", "--lot", "L-1", "--site", "S-01",
+                "--date", "2021-03-01", "--service", f"127.0.0.1:{server.port}",
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 0, err
+        assert out.startswith("BDG1:")
+        coupon = decode_qr(batch[0], Coupon)
+        assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
+    assert len(closed) == 1
 
 
 def test_wallet_lifecycle_and_disclosure(capsys, env):

@@ -1,6 +1,7 @@
 """Registry: transition rules, durability, concurrency, idempotent retry."""
 
 import hashlib
+import json
 import os
 import threading
 
@@ -8,11 +9,12 @@ import pytest
 
 from vaxcred.errors import (
     AlreadyUsedError,
+    CanonicalError,
     DismantledError,
     InvalidTransitionError,
     UnknownCouponError,
 )
-from vaxcred.registry import Registry, Stage
+from vaxcred.registry import CouponState, Registry, Stage
 
 
 def _cid(n: int) -> bytes:
@@ -138,6 +140,52 @@ def test_torn_final_line_tolerated(tmp_path):
     with Registry(path) as again:
         assert again.check(_cid(0)).stage is Stage.DOSE1
         assert again.known(_cid(1))
+
+
+def test_torn_tail_is_cut_before_the_next_append(tmp_path):
+    """The append after a torn tail starts on its own line, so a second
+    reopen still reads it."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as reg:
+        reg.register(_cid(0))
+        reg.register(_cid(1))
+        reg.mark_used(_cid(0), 1)
+    path.write_bytes(path.read_bytes() + b'{"cid": "dead')  # torn write, no newline
+    with Registry(path) as again:
+        again.mark_used(_cid(1), 1, date="2021-01-07")
+    with Registry(path) as third:
+        assert third.check(_cid(0)).stage is Stage.DOSE1
+        assert third.check(_cid(1)) == CouponState(Stage.DOSE1, "2021-01-07")
+    assert b"dead" not in path.read_bytes()
+
+
+def test_register_many_writes_once(tmp_path, monkeypatch):
+    """A batch is one write and one fsync; ids already known, or repeated
+    in the batch, are left as they are and logged once."""
+    path = tmp_path / "reg.log"
+    fsyncs = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or fsync(fd))
+    with Registry(path) as reg:
+        reg.register(_cid(0))
+        reg.mark_used(_cid(0), 1, date="2021-01-05")
+        del fsyncs[:]
+        reg.register_many([_cid(i) for i in range(50)] + [_cid(3)])
+        assert len(fsyncs) == 1
+        reg.register_many([_cid(0), _cid(7)])  # nothing new: no write
+        assert len(fsyncs) == 1
+        assert reg.check(_cid(0)).stage is Stage.DOSE1
+        assert len(reg) == 50
+        before = reg.snapshot()
+        with pytest.raises(CanonicalError):
+            reg.register_many([_cid(60), b"short"])
+        assert not reg.known(_cid(60))  # a bad id refuses the whole batch
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 + 49
+    assert json.loads(lines[-1]) == {"cid": _cid(49).hex(), "date": None,
+                                     "op": "register", "seq": 51}
+    with Registry(path) as again:
+        assert again.snapshot() == before
 
 
 def test_corrupt_middle_line_rejected(tmp_path):

@@ -1,11 +1,16 @@
 """QR text codec and the TCP signing service (real sockets, loopback)."""
 
+import json
+import random
 import socket
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
-from vaxcred import canonical
+from vaxcred import canonical, service, vaccination
 from vaxcred.coupons import issue_coupon_batch
 from vaxcred.credentials import Badge, BadgeInfo, DoseInfo, Passkey, Status, VaccinationLevel
 from vaxcred.crypto import generate_keypair, sha256
@@ -20,6 +25,7 @@ from vaxcred.errors import (
 )
 from vaxcred.merkle import (DisclosureProof, build_pii_tree,
                             prove_disclosure)
+from vaxcred.registry import Registry, Stage
 from vaxcred.qr import (
     MAX_QR_CHARS,
     MAX_URL_CHARS,
@@ -242,7 +248,9 @@ def test_coupon_url_round_trip(artifacts, issuer_key):
 @pytest.fixture
 def live(issuer, issuer_key, registry, rng):
     server = serve(BadgeIssuer(issuer, registry))
-    yield server, SigningClient("127.0.0.1", server.port, timeout=5.0)
+    client = SigningClient("127.0.0.1", server.port, timeout=5.0)
+    yield server, client
+    client.close()
     server.shutdown()
     server.server_close()
 
@@ -371,3 +379,222 @@ def test_frame_cap_applies_client_side(live):
     # follow-up request on a fresh connection still works
     response = handle_request_bytes(server.issuer, b"junk")
     assert canonical.decode(response)["ok"] is False
+
+
+# -- one kept connection per client; a bounded server ---------------------------
+
+DOSE1 = DoseInfo(product="VX-ALPHA", lot="L-3", date="2021-03-01",
+                 dose_number=1, site_id="S-06")
+DOSE2 = DoseInfo(product="VX-ALPHA", lot="L-4", date="2021-03-22",
+                 dose_number=2, site_id="S-06")
+PII = [("name", "Kept K"), ("dob", "1980-01-01")]
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """The address of every connection a client opens."""
+    made = []
+    real = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        made.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return made
+
+
+def _wait_until(condition, limit=5.0):
+    deadline = time.monotonic() + limit
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def _reply_to(port, frame):
+    """The server's first bytes back for one frame on a new connection;
+    b"" when it closes the connection without answering."""
+    with socket.create_connection(("127.0.0.1", port), 2.0) as sock:
+        try:
+            sock.sendall(struct.pack(">I", len(frame)) + frame)
+            return sock.recv(4096)
+        except ConnectionError:
+            return b""
+
+
+def test_one_connection_for_many_doses(issuer, issuer_key, registry, rng,
+                                       live, connects):
+    server, client = live
+    session = _pharmacy(issuer_key, registry, client, rng)
+    batch = issue_coupon_batch(issuer, 3, "02139", "transit",
+                               registry=registry, start_index=50)
+    for coupon in batch:
+        badge, _, _ = session.issue_credentials_paper(coupon, DOSE1, PII)
+        session.second_dose(badge, DOSE2)
+    assert len(connects) == 1
+    assert {registry.check(c.coupon_id).stage for c in batch} == {Stage.DOSE2}
+
+
+def test_one_client_shared_by_threads(issuer, issuer_key, registry, live,
+                                      connects):
+    """Threads sharing a client take turns on its one connection: every
+    dose lands once, and no reply goes to the wrong thread."""
+    server, client = live
+    batch = issue_coupon_batch(issuer, 24, "02139", "transit",
+                               registry=registry, start_index=80)
+    errors_seen = []
+
+    def counter(k):
+        session = _pharmacy(issuer_key, registry, client, random.Random(k))
+        for coupon in batch[k::6]:
+            try:
+                badge, _, _ = session.issue_credentials_paper(coupon, DOSE1, PII)
+                assert badge.info.coupon == coupon
+            except Exception as exc:  # reported below, with the others
+                errors_seen.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=counter, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors_seen == []
+    assert {registry.check(c.coupon_id).stage for c in batch} == {Stage.DOSE1}
+    assert len(connects) == 1
+
+
+def test_dose_after_an_idle_close_is_resent(issuer, issuer_key, registry, rng,
+                                            live, connects, monkeypatch):
+    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.2)
+    server, client = live
+    moves = []
+    mark_used = registry.mark_used
+    monkeypatch.setattr(registry, "mark_used",
+                        lambda *a, **k: moves.append(mark_used(*a, **k)) or moves[-1])
+    coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                registry=registry, start_index=55)[0]
+    session = _pharmacy(issuer_key, registry, client, rng)
+    badge, _, _ = session.issue_credentials_paper(coupon, DOSE1, PII)
+    _wait_until(lambda: not server._live)  # the server closed the idle connection
+    session.second_dose(badge, DOSE2)
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE2
+    assert moves == [True, True]  # one transition per dose, none repeated
+    assert len(connects) == 2
+
+
+def test_reply_lost_after_the_registry_moved_is_resent(issuer, issuer_key, rng,
+                                                       tmp_path, connects,
+                                                       monkeypatch):
+    """The server records the second dose and drops the connection before
+    replying. The client re-sends the identical frame and gets the same
+    signatures, and the log records the dose once."""
+    replies = []
+    handle = service.handle_request_bytes
+
+    def lose_second_reply(issuer_, data):
+        replies.append(handle(issuer_, data))
+        if len(replies) == 2:
+            raise ConnectionResetError("reply lost")
+        return replies[-1]
+
+    monkeypatch.setattr(service, "handle_request_bytes", lose_second_reply)
+    log = tmp_path / "registry.jsonl"
+    with Registry(log) as registry:
+        coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                    registry=registry, start_index=60)[0]
+        server = serve(BadgeIssuer(issuer, registry))
+        client = SigningClient("127.0.0.1", server.port)
+        try:
+            session = _pharmacy(issuer_key, registry, client, rng)
+            badge, _, _ = session.issue_credentials_paper(coupon, DOSE1, PII)
+            badge2, status2 = session.second_dose(badge, DOSE2)
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+    assert len(replies) == 3 and replies[2] == replies[1]
+    answer = canonical.decode(replies[2])
+    assert (answer["sb"], answer["ss"]) == (badge2.signature, status2.signature)
+    ops = [json.loads(line)["op"] for line in log.read_text().splitlines()]
+    assert ops == ["register", "dose1", "dose2"]
+    assert len(connects) == 2
+
+
+def test_connection_over_the_cap_is_closed_unanswered(issuer, issuer_key,
+                                                      registry, rng, live,
+                                                      monkeypatch):
+    monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
+    server, client = live
+    coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                registry=registry, start_index=65)[0]
+    _pharmacy(issuer_key, registry, client, rng).issue_credentials_paper(
+        coupon, DOSE1, PII)  # the client's kept connection fills the cap
+    assert _reply_to(server.port, b"junk") == b""
+    client.close()
+    _wait_until(lambda: not server._live)
+    assert _reply_to(server.port, b"junk") != b""  # the freed place is served
+
+
+def test_silent_connection_closed_after_the_idle_limit(live, monkeypatch):
+    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.2)
+    server, _ = live
+    with socket.create_connection(("127.0.0.1", server.port), 5.0) as sock:
+        t0 = time.monotonic()
+        assert sock.recv(4096) == b""
+        assert time.monotonic() - t0 < 3.0
+    assert not server._live
+
+
+def test_server_close_ends_live_connections(issuer, issuer_key, registry, rng):
+    """Closing the server closes a client's idle kept connection, so no
+    handler thread outlives it; the client's next request then re-sends
+    once and reports the service unreachable."""
+    server = serve(BadgeIssuer(issuer, registry))
+    client = SigningClient("127.0.0.1", server.port)
+    batch = issue_coupon_batch(issuer, 2, "02139", "transit",
+                               registry=registry, start_index=70)
+    session = _pharmacy(issuer_key, registry, client, rng)
+    session.issue_credentials_paper(batch[0], DOSE1, PII)
+    server.shutdown()
+    closer = threading.Thread(target=server.server_close, daemon=True)
+    closer.start()
+    closer.join(5.0)
+    assert not closer.is_alive()  # well inside the idle limit
+    with pytest.raises(ServiceUnreachableError):
+        session.issue_credentials_paper(batch[1], DOSE1, PII)
+    client.close()
+    assert not registry.check(batch[1].coupon_id).is_used
+
+
+def test_server_derives_the_request_digest_once(issuer, issuer_key, registry,
+                                                rng, monkeypatch):
+    coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                registry=registry, start_index=75)[0]
+    frames = []
+
+    class Capture:
+        def sign_badge_request(self, badge_info, status_payload):
+            frames.append(encode_request(badge_info, status_payload))
+            raise CanonicalError("captured")
+
+    with pytest.raises(CanonicalError):
+        _pharmacy(issuer_key, registry, Capture(), rng).issue_credentials_paper(
+            coupon, DOSE1, PII)
+    calls = []
+    signing_request = vaccination.signing_request
+
+    def counting(*args):
+        calls.append(args)
+        return signing_request(*args)
+
+    monkeypatch.setattr(service, "signing_request", counting)
+    monkeypatch.setattr(vaccination, "signing_request", counting)
+    out = canonical.decode(handle_request_bytes(BadgeIssuer(issuer, registry), frames[0]))
+    assert out["ok"] is True
+    assert len(calls) == 1
