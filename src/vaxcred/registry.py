@@ -84,7 +84,8 @@ class Registry:
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
             try:
                 with self._file_lock():
-                    self._replay_file()
+                    records = self._read_complete()
+                self._replay(records)
             except BaseException:
                 self._log_fh.close()
                 raise
@@ -94,7 +95,8 @@ class Registry:
     @contextlib.contextmanager
     def _file_lock(self):
         """Exclusive lock on the log file, so that no other process reads a
-        record half written, or appends while a torn tail is being cut."""
+        record half written, or appends while a torn tail is being cut.
+        Held only for the read and the cut on open, not for the replay."""
         fd = self._log_fh.fileno()
         fcntl.flock(fd, fcntl.LOCK_EX)
         try:
@@ -114,21 +116,25 @@ class Registry:
                 self._log_fh.flush()
                 os.fsync(self._log_fh.fileno())
 
-    def _replay_file(self) -> None:
-        """Apply every newline-terminated record, then cut what follows the
-        last newline: a torn append, never acknowledged to its caller."""
+    def _read_complete(self) -> bytes:
+        """The log's newline-terminated records. What follows the last
+        newline is a torn append, never acknowledged to its caller; it is
+        cut so that the next append starts on a line of its own."""
         with open(self._log_path, "rb") as fh:
             data = fh.read()
         complete = data.rfind(b"\n") + 1
-        for i, line in enumerate(data[:complete].split(b"\n")[:-1]):
+        if complete < len(data):
+            os.ftruncate(self._log_fh.fileno(), complete)
+        return data[:complete]
+
+    def _replay(self, records: bytes) -> None:
+        for i, line in enumerate(records.split(b"\n")[:-1]):
             try:
                 record = json.loads(line)
             except ValueError:
                 raise CanonicalError(f"corrupt registry log at line {i + 1}") from None
             self._apply(record)
             self._seq = max(self._seq, int(record.get("seq", 0)))
-        if complete < len(data):
-            os.ftruncate(self._log_fh.fileno(), complete)
 
     def _apply(self, record: dict) -> None:
         op = record.get("op")

@@ -11,9 +11,11 @@ retry, so the registry moves at most once and the signatures are the
 same. A failure on a new connection surfaces as ServiceUnreachableError.
 
 The server closes a connection that sends no frame for _IDLE_TIMEOUT
-seconds, serves at most _MAX_CONNECTIONS connections at once (one more is
-closed before any frame is read), and closes its live connections when
-it is closed.
+seconds and keeps at most _MAX_CONNECTIONS connections. At the cap, a new
+connection takes the place of the one idle longest, whose client re-sends
+on its next request; only when every connection is serving a request is
+the new one closed before any frame is read. The server closes its live
+connections when it is closed.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 
 from . import canonical, errors
 from .credentials import BadgeInfo, StatusPayload
@@ -30,7 +33,9 @@ from .vaccination import BadgeIssuer, signing_request
 
 _MAX_FRAME = 1 << 20  # 1 MiB is far beyond any legitimate request
 _IDLE_TIMEOUT = 60.0  # seconds a server connection may wait for its next frame
-_MAX_CONNECTIONS = 32  # connections, each with its handler thread, served at once
+# connections kept, each with its handler thread; a round number, not
+# sized from a measured count of pharmacy counters
+_MAX_CONNECTIONS = 32
 
 
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -93,7 +98,9 @@ class SigningServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address, issuer: BadgeIssuer):
         self.issuer = issuer
-        self._live = set()  # connections admitted and not yet closed
+        # live connection -> when it last went idle (monotonic), or None
+        # while it serves a request
+        self._live = {}
         self._live_lock = threading.Lock()
         super().__init__(address, _Handler)
 
@@ -102,17 +109,35 @@ class SigningServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     def verify_request(self, request, client_address) -> bool:
-        """Admit a connection while fewer than _MAX_CONNECTIONS are live;
-        a refused one is closed unread."""
+        """Admit a connection. At _MAX_CONNECTIONS, close the one idle
+        longest to make room; if every one is serving a request, refuse
+        the new one, which is then closed unread."""
         with self._live_lock:
             if len(self._live) >= _MAX_CONNECTIONS:
-                return False
-            self._live.add(request)
+                idle = [sock for sock, since in self._live.items() if since is not None]
+                if not idle:
+                    return False
+                oldest = min(idle, key=self._live.__getitem__)
+                del self._live[oldest]
+                _wake(oldest)
+            self._live[request] = time.monotonic()
             return True
+
+    def _begin(self, request) -> bool:
+        """Mark a connection busy; False if it was closed to make room."""
+        with self._live_lock:
+            if request not in self._live:
+                return False
+            self._live[request] = None
+            return True
+
+    def _end(self, request) -> None:
+        with self._live_lock:
+            self._live[request] = time.monotonic()
 
     def shutdown_request(self, request) -> None:
         with self._live_lock:
-            self._live.discard(request)
+            self._live.pop(request, None)
         super().shutdown_request(request)
 
     def server_close(self) -> None:
@@ -120,25 +145,36 @@ class SigningServer(socketserver.ThreadingTCPServer):
         handler threads. Call after shutdown()."""
         with self._live_lock:
             for sock in self._live:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)  # wakes a handler blocked in recv
-                except OSError:
-                    pass  # the peer is already gone
+                _wake(sock)
         super().server_close()
 
 
+def _wake(sock: socket.socket) -> None:
+    """End a server connection; its handler, blocked in recv, sees EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer is already gone
+
+
 class _Handler(socketserver.StreamRequestHandler):
-    def setup(self):
-        self.request.settimeout(_IDLE_TIMEOUT)
-        super().setup()
+    timeout = _IDLE_TIMEOUT  # setup() puts it on the socket as the read timeout
 
     def handle(self):
+        server = self.server
         try:
             while True:
                 data = _recv_frame(self.rfile)
-                _send_frame(self.request, handle_request_bytes(self.server.issuer, data))
-        except OSError:
-            return  # client went away, idled out or the server is closing
+                if not server._begin(self.request):
+                    return  # closed to make room; the client re-sends
+                try:
+                    _send_frame(self.request, handle_request_bytes(server.issuer, data))
+                finally:
+                    server._end(self.request)
+        except (OSError, CanonicalError):
+            # the client went away, idled out or sent an oversized frame,
+            # or the server is closing
+            return
 
 
 def serve(issuer: BadgeIssuer, host: str = "127.0.0.1", port: int = 0) -> SigningServer:

@@ -1,5 +1,6 @@
 """Registry: transition rules, durability, concurrency, idempotent retry."""
 
+import fcntl
 import hashlib
 import json
 import os
@@ -156,6 +157,34 @@ def test_torn_tail_is_cut_before_the_next_append(tmp_path):
     with Registry(path) as third:
         assert third.check(_cid(0)).stage is Stage.DOSE1
         assert third.check(_cid(1)) == CouponState(Stage.DOSE1, "2021-01-07")
+    assert b"dead" not in path.read_bytes()
+
+
+def test_replay_runs_without_the_file_lock(tmp_path, monkeypatch):
+    """Opening holds the log's lock only to read it and cut a torn tail,
+    so an append from another process does not wait for the replay."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as reg:
+        reg.register_many([_cid(i) for i in range(3)])
+    path.write_bytes(path.read_bytes() + b'{"cid": "dead')  # torn write, no newline
+    free = []
+    apply = Registry._apply
+
+    def probing(self, record):
+        with open(path, "ab") as other:
+            try:
+                fcntl.flock(other.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                free.append(False)
+            else:
+                free.append(True)
+                fcntl.flock(other.fileno(), fcntl.LOCK_UN)
+        apply(self, record)
+
+    monkeypatch.setattr(Registry, "_apply", probing)
+    with Registry(path) as again:
+        assert len(again) == 3
+    assert free == [True, True, True]
     assert b"dead" not in path.read_bytes()
 
 

@@ -471,7 +471,7 @@ def test_one_client_shared_by_threads(issuer, issuer_key, registry, live,
 
 def test_dose_after_an_idle_close_is_resent(issuer, issuer_key, registry, rng,
                                             live, connects, monkeypatch):
-    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.2)
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
     server, client = live
     moves = []
     mark_used = registry.mark_used
@@ -526,23 +526,68 @@ def test_reply_lost_after_the_registry_moved_is_resent(issuer, issuer_key, rng,
     assert len(connects) == 2
 
 
-def test_connection_over_the_cap_is_closed_unanswered(issuer, issuer_key,
-                                                      registry, rng, live,
-                                                      monkeypatch):
+def test_more_kept_clients_than_the_cap_each_complete_doses(
+        issuer, issuer_key, registry, monkeypatch):
+    """Silent connections and kept clients past the cap do not lock a
+    client out: a new connection takes the place of the one idle longest,
+    and that one's client re-sends on its next request."""
+    monkeypatch.setattr(service, "_MAX_CONNECTIONS", 2)
+    server = serve(BadgeIssuer(issuer, registry))
+    silent = [socket.create_connection(("127.0.0.1", server.port), 2.0)
+              for _ in range(2)]
+    clients = [SigningClient("127.0.0.1", server.port) for _ in range(3)]
+    batch = issue_coupon_batch(issuer, 3, "02139", "transit",
+                               registry=registry, start_index=65)
+    try:
+        sessions = [_pharmacy(issuer_key, registry, c, random.Random(k))
+                    for k, c in enumerate(clients)]
+        badges = [s.issue_credentials_paper(c, DOSE1, PII)[0]
+                  for s, c in zip(sessions, batch)]
+        for session, badge in zip(sessions, badges):
+            session.second_dose(badge, DOSE2)
+        assert len(server._live) <= 2
+    finally:
+        for sock in silent:
+            sock.close()
+        for client in clients:
+            client.close()
+        server.shutdown()
+        server.server_close()
+    assert {registry.check(c.coupon_id).stage for c in batch} == {Stage.DOSE2}
+
+
+def test_connection_over_a_cap_of_busy_ones_is_closed_unanswered(
+        issuer, issuer_key, registry, rng, live, monkeypatch):
     monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
     server, client = live
+    release, busy = threading.Event(), threading.Event()
+    handle = service.handle_request_bytes
+
+    def held(issuer_, data):
+        busy.set()
+        assert release.wait(5.0)
+        return handle(issuer_, data)
+
+    monkeypatch.setattr(service, "handle_request_bytes", held)
     coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
-                                registry=registry, start_index=65)[0]
-    _pharmacy(issuer_key, registry, client, rng).issue_credentials_paper(
-        coupon, DOSE1, PII)  # the client's kept connection fills the cap
-    assert _reply_to(server.port, b"junk") == b""
-    client.close()
-    _wait_until(lambda: not server._live)
-    assert _reply_to(server.port, b"junk") != b""  # the freed place is served
+                                registry=registry, start_index=68)[0]
+    session = _pharmacy(issuer_key, registry, client, rng)
+    dose = threading.Thread(
+        target=session.issue_credentials_paper, args=(coupon, DOSE1, PII))
+    dose.start()
+    try:
+        assert busy.wait(5.0)  # the only place is serving a request
+        assert _reply_to(server.port, b"junk") == b""
+    finally:
+        release.set()
+        dose.join(5.0)
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
+    # the client's connection is idle now, so a new one takes its place
+    assert _reply_to(server.port, b"junk") != b""
 
 
 def test_silent_connection_closed_after_the_idle_limit(live, monkeypatch):
-    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.2)
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
     server, _ = live
     with socket.create_connection(("127.0.0.1", server.port), 5.0) as sock:
         t0 = time.monotonic()
