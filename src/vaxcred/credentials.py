@@ -28,7 +28,7 @@ from .crypto import (
     salted_hash,
     tagged_hash,
 )
-from .errors import CanonicalError, DuplicateLabelError, EmptyRequestError
+from .errors import CanonicalError, DuplicateLabelError, EmptyRequestError, MismatchError
 
 
 class VaccinationLevel(enum.IntEnum):
@@ -300,6 +300,20 @@ class Status(SignedEnvelope):
 
     payload: StatusPayload
     signature: bytes
+
+
+def status_for(info: BadgeInfo, user_key: Optional[VerifyingKey] = None) -> StatusPayload:
+    """The one status that goes with a badge: its level, the date of its
+    latest dose, and the holder binding. A paper badge's commitment
+    becomes the passkey hash; an app badge's tree root travels with the
+    holder key, so an app badge without ``user_key`` has no status."""
+    if isinstance(info.binding, Commitment):
+        binding = PasskeyHash(info.binding.digest)
+    elif user_key is None:
+        raise MismatchError("an app badge's status needs the holder key")
+    else:
+        binding = AppBinding(user_key=user_key, pii_root=info.binding.digest)
+    return StatusPayload(level=info.level, binding=binding, date=info.dose_history[-1].date)
 
 
 # -- passkey ---------------------------------------------------------------

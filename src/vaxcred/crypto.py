@@ -171,24 +171,11 @@ class KeyHandle:
     def seal(self, passphrase: str) -> bytes:
         """Encrypted key blob, decryptable only with the passphrase."""
         seed = self._sign_key.private_bytes_raw() + self._enc_key.private_bytes_raw()
-        kdf_salt = secrets.token_bytes(SALT_LEN)
-        key = _passphrase_key(passphrase, kdf_salt)
-        nonce = secrets.token_bytes(12)
-        body = ChaCha20Poly1305(key).encrypt(nonce, seed, _SEAL_INFO)
-        return b"\x01" + kdf_salt + nonce + body
+        return seal_with_passphrase(seed, passphrase, _SEAL_INFO)
 
     @classmethod
     def unseal(cls, blob: bytes, passphrase: str) -> "KeyHandle":
-        if len(blob) < 1 + SALT_LEN + 12 + 16 or blob[0] != 0x01:
-            raise AuthFailureError("malformed key blob")
-        kdf_salt = blob[1 : 1 + SALT_LEN]
-        nonce = blob[1 + SALT_LEN : 1 + SALT_LEN + 12]
-        body = blob[1 + SALT_LEN + 12 :]
-        key = _passphrase_key(passphrase, kdf_salt)
-        try:
-            seed = ChaCha20Poly1305(key).decrypt(nonce, body, _SEAL_INFO)
-        except InvalidTag as exc:
-            raise AuthFailureError("wrong passphrase or corrupted key blob") from exc
+        seed = open_with_passphrase(blob, passphrase, _SEAL_INFO)
         return cls(
             Ed25519PrivateKey.from_private_bytes(seed[:32]),
             X25519PrivateKey.from_private_bytes(seed[32:]),
@@ -196,6 +183,37 @@ class KeyHandle:
 
     def __repr__(self) -> str:
         return f"KeyHandle({self.handle_id})"
+
+
+_SEALED_VERSION = b"\x01"
+_NONCE_LEN = 12
+_TAG_LEN = 16
+
+
+def seal_with_passphrase(plaintext: bytes, passphrase: str, aad: bytes) -> bytes:
+    """version byte || scrypt salt || nonce || ChaCha20-Poly1305(plaintext),
+    under a key derived from the passphrase. ``aad`` names what the blob
+    holds, so a blob of one kind never opens as another."""
+    kdf_salt = secrets.token_bytes(SALT_LEN)
+    nonce = secrets.token_bytes(_NONCE_LEN)
+    body = ChaCha20Poly1305(_passphrase_key(passphrase, kdf_salt)).encrypt(nonce, plaintext, aad)
+    return _SEALED_VERSION + kdf_salt + nonce + body
+
+
+def open_with_passphrase(blob: bytes, passphrase: str, aad: bytes) -> bytes:
+    """The plaintext of a ``seal_with_passphrase`` blob. CanonicalError
+    when the blob has not that layout, AuthFailureError when the
+    passphrase or ``aad`` is wrong or the blob was altered."""
+    if len(blob) < 1 + SALT_LEN + _NONCE_LEN + _TAG_LEN or blob[:1] != _SEALED_VERSION:
+        raise CanonicalError("not a sealed blob")
+    kdf_salt = blob[1 : 1 + SALT_LEN]
+    nonce = blob[1 + SALT_LEN : 1 + SALT_LEN + _NONCE_LEN]
+    try:
+        return ChaCha20Poly1305(_passphrase_key(passphrase, kdf_salt)).decrypt(
+            nonce, blob[1 + SALT_LEN + _NONCE_LEN :], aad
+        )
+    except InvalidTag as exc:
+        raise AuthFailureError("wrong passphrase or corrupted sealed blob") from exc
 
 
 def _passphrase_key(passphrase: str, kdf_salt: bytes) -> bytes:

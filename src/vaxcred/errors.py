@@ -117,7 +117,9 @@ class ProductMismatchError(VaxError):
 
 
 class ServiceUnreachableError(VaxError):
-    """Signing service could not be reached; no effects took place."""
+    """The signing service could not be reached, or a request and its one
+    re-send both failed. A failed connect has no effect; after a failed
+    re-send the issuer may have recorded the dose."""
 
     code = "service-unreachable"
 

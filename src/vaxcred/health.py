@@ -245,10 +245,9 @@ def combine_aggregates(
 
 def laplace_sample(scale: float, rng=None) -> float:
     """Difference of two exponentials — a Laplace(0, scale) draw with no
-    boundary special cases."""
-    import random as _random
-
-    r = rng if rng is not None else _random
+    boundary special cases. Without an injected rng it draws from the OS
+    generator, so published noise cannot be predicted from earlier draws."""
+    r = rng if rng is not None else secrets.SystemRandom()
     return scale * (r.expovariate(1.0) - r.expovariate(1.0))
 
 

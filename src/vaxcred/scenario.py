@@ -221,7 +221,7 @@ class _World:
         else:
             details["reason"] = result.reason
         self.log.append(at, "venue", "verify", ok, user=user, **details)
-        if ok and result.level is not VaccinationLevel(len(wallet.badge.info.dose_history)):
+        if ok and result.level is not wallet.badge.info.level:
             self.violations.append(f"verify level mismatch for {user}")
 
     def act_group_verify(self, at, action):

@@ -5,10 +5,11 @@ The pharmacy sends one frame per request — the canonical encoding of
 frame back, either signatures or a typed error code.
 
 A client keeps one connection and sends its requests on it in turn. When
-a reused connection fails, the client re-sends the identical frame once
-on a new connection: the issuer recognizes the repeated digest as a
-retry, so the registry moves at most once and the signatures are the
-same. A failure on a new connection surfaces as ServiceUnreachableError.
+a send or receive fails on a connection, reused or new, the client
+re-sends the identical frame once on a new connection: the issuer
+recognizes the repeated digest as a retry, so the registry moves at most
+once and the signatures are the same. A failed connect, or a failed
+re-send, surfaces as ServiceUnreachableError.
 
 The server closes a connection that sends no frame for _IDLE_TIMEOUT
 seconds and keeps at most _MAX_CONNECTIONS connections. At the cap, a new
@@ -212,21 +213,23 @@ class SigningClient:
         raise errors.error_from_code(obj["error"])
 
     def _exchange(self, request: bytes) -> bytes:
-        """Send one frame and read the reply. A failure on a reused
-        connection re-sends the frame on a new one; a failure on a new
-        connection raises ServiceUnreachableError."""
+        """Send one frame and read the reply. A failure after a connection
+        is open, reused or new, re-sends the frame once on a new one.
+        ServiceUnreachableError when a connect or that re-send fails."""
+        resend = True
         while True:
-            reused = self._sock is not None
             try:
-                if not reused:
+                if self._sock is None:
                     self._sock = socket.create_connection((self.host, self.port), self.timeout)
                     self._rfile = self._sock.makefile("rb")
                 _send_frame(self._sock, request)
                 return _recv_frame(self._rfile)
             except OSError as exc:
+                connected = self._sock is not None
                 self._drop()
-                if not reused:
+                if not (connected and resend):
                     raise ServiceUnreachableError(f"signing service: {exc}") from exc
+                resend = False
             except BaseException:
                 self._drop()  # the stream may be left mid-frame
                 raise

@@ -19,19 +19,17 @@ from typing import Optional
 from . import canonical
 from .coupons import Coupon, verify_coupon
 from .credentials import (
-    AppBinding,
     Badge,
     BadgeInfo,
     Commitment,
     DoseInfo,
     Passkey,
-    PasskeyHash,
     Status,
     StatusPayload,
     TreeRoot,
-    VaccinationLevel,
     parse_date,
     pii_commitment,
+    status_for,
 )
 from .crypto import KeyHandle, VerifyingKey, new_salt, sha256
 from .errors import (
@@ -43,7 +41,6 @@ from .errors import (
     MismatchError,
     ProductMismatchError,
     UnknownCouponError,
-    VaxError,
     WrongStateError,
 )
 from .registry import Registry, Stage
@@ -96,10 +93,9 @@ class BadgeIssuer:
     recovery path after a crash between the registry write and the reply.
     """
 
-    def __init__(self, handle: KeyHandle, registry: Registry, coupon_key=None):
+    def __init__(self, handle: KeyHandle, registry: Registry):
         self._handle = handle
         self._registry = registry
-        self._coupon_key = coupon_key if coupon_key is not None else handle.verifying_key
         self.received_requests = []  # raw request bytes, for privacy audits
 
     @property
@@ -125,41 +121,19 @@ class BadgeIssuer:
         server does after checking a frame's digest."""
         self.received_requests.append(request)
 
-        if not verify_coupon(self._coupon_key, badge_info.coupon):
+        if not verify_coupon(self.verifying_key, badge_info.coupon):
             raise BadCouponError("coupon signature does not verify")
-        _check_consistency(badge_info, status_payload)
+        user_key = getattr(status_payload.binding, "user_key", None)
+        if status_payload != status_for(badge_info, user_key):
+            raise MismatchError("status does not match the badge")
 
-        dose = len(badge_info.dose_history)
         self._registry.mark_used(
             badge_info.coupon.coupon_id,
-            dose,
+            len(badge_info.dose_history),
             date=badge_info.dose_history[-1].date,
             request_digest=digest,
         )
         return self._handle.sign(badge_bytes), self._handle.sign(status_bytes)
-
-
-def _check_consistency(badge_info: BadgeInfo, status_payload: StatusPayload) -> None:
-    doses = len(badge_info.dose_history)
-    expected = VaccinationLevel(doses)
-    if status_payload.level is not expected:
-        raise MismatchError(
-            f"status level {int(status_payload.level)} does not match {doses} dose(s)"
-        )
-    if status_payload.date != badge_info.dose_history[-1].date:
-        raise MismatchError("status date does not match the latest dose")
-    badge_binding = badge_info.binding
-    status_binding = status_payload.binding
-    if isinstance(badge_binding, Commitment):
-        if not isinstance(status_binding, PasskeyHash):
-            raise MismatchError("paper badge requires a passkey-hash status binding")
-        if status_binding.digest != badge_binding.digest:
-            raise MismatchError("status binding digest differs from badge commitment")
-    else:  # a TreeRoot: the BadgeInfo constructor admits no other binding
-        if not isinstance(status_binding, AppBinding):
-            raise MismatchError("app badge requires an app status binding")
-        if status_binding.pii_root != badge_binding.digest:
-            raise MismatchError("status tree root differs from badge tree root")
 
 
 @dataclass
@@ -174,82 +148,60 @@ class PharmacySession:
     vk_issuer: VerifyingKey
     registry: Registry
     signer: object
-    vk_badge: Optional[VerifyingKey] = None
     today: Optional[str] = None  # clamp for dose dates; None skips the check
-    product_rule: str = "same-product"  # or "any"
     rng: object = None
-
-    def __post_init__(self):
-        if self.vk_badge is None:
-            self.vk_badge = self.vk_issuer
-        if self.product_rule not in ("same-product", "any"):
-            raise CanonicalError(f"unknown product rule {self.product_rule!r}")
 
     def _check_date(self, dose: DoseInfo) -> None:
         if self.today is not None and parse_date(dose.date) > parse_date(self.today):
             raise CanonicalError(f"dose date {dose.date} is in the future")
 
-    def _admit_or_raise(self, coupon: Coupon) -> None:
+    def _admit_first(self, coupon: Coupon, dose: DoseInfo) -> None:
+        """Admission, dose number and date checks of a first dose; they
+        run before anything is drawn from the rng."""
         decision = pharmacy_admit(self.vk_issuer, self.registry, coupon)
-        if decision.admitted:
-            return
-        if decision.reason == AdmitDecision.ALREADY_USED:
-            raise AlreadyUsedError(coupon.coupon_id.hex())
-        if decision.reason == AdmitDecision.UNKNOWN:
-            raise UnknownCouponError(coupon.coupon_id.hex())
-        if decision.reason == AdmitDecision.DISMANTLED:
-            raise DismantledError("registry has been dismantled")
-        raise BadCouponError("coupon signature does not verify")
+        if not decision.admitted:
+            if decision.reason == AdmitDecision.ALREADY_USED:
+                raise AlreadyUsedError(coupon.coupon_id.hex())
+            if decision.reason == AdmitDecision.UNKNOWN:
+                raise UnknownCouponError(coupon.coupon_id.hex())
+            if decision.reason == AdmitDecision.DISMANTLED:
+                raise DismantledError("registry has been dismantled")
+            raise BadCouponError("coupon signature does not verify")
+        if dose.dose_number != 1:
+            raise WrongStateError("first visit must record dose number 1")
+        self._check_date(dose)
 
-    def _sign(self, badge_info: BadgeInfo, status_payload: StatusPayload):
-        """(badge, status) carrying the signer's two signatures."""
+    def _sign(self, badge_info: BadgeInfo, user_key: Optional[VerifyingKey] = None):
+        """(badge, status) for ``badge_info`` and the status that goes with
+        it, carrying the signer's two signatures."""
+        status_payload = status_for(badge_info, user_key)
         sig_badge, sig_status = self.signer.sign_badge_request(badge_info, status_payload)
         return Badge(badge_info, sig_badge), Status(status_payload, sig_status)
 
     def issue_credentials_paper(self, coupon: Coupon, dose: DoseInfo, pii):
         """First dose, paper wallet: returns (badge, status, passkey)."""
-        self._admit_or_raise(coupon)
-        if dose.dose_number != 1:
-            raise WrongStateError("first visit must record dose number 1")
-        self._check_date(dose)
+        self._admit_first(coupon, dose)
         pii = tuple(sorted(((str(l), str(v)) for l, v in pii), key=lambda kv: kv[0]))
         salt = new_salt(self.rng)
-        commitment = pii_commitment(pii, salt)
-        badge_info = BadgeInfo(
-            dose_history=(dose,), coupon=coupon, binding=Commitment(commitment)
-        )
-        status_payload = StatusPayload(
-            level=VaccinationLevel.DOSE1,
-            binding=PasskeyHash(commitment),
-            date=dose.date,
-        )
-        return (*self._sign(badge_info, status_payload), Passkey(pii=pii, salt=salt))
+        commitment = Commitment(pii_commitment(pii, salt))
+        badge_info = BadgeInfo(dose_history=(dose,), coupon=coupon, binding=commitment)
+        return (*self._sign(badge_info), Passkey(pii=pii, salt=salt))
 
     def issue_credentials_app(self, coupon: Coupon, dose: DoseInfo, pii_root: bytes,
                               user_key: VerifyingKey):
         """First dose, app wallet: returns (badge, status). The pharmacy
         only ever sees the tree root, never the leaves."""
-        self._admit_or_raise(coupon)
-        if dose.dose_number != 1:
-            raise WrongStateError("first visit must record dose number 1")
-        self._check_date(dose)
-        badge_info = BadgeInfo(
-            dose_history=(dose,), coupon=coupon, binding=TreeRoot(pii_root)
-        )
-        status_payload = StatusPayload(
-            level=VaccinationLevel.DOSE1,
-            binding=AppBinding(user_key=user_key, pii_root=pii_root),
-            date=dose.date,
-        )
-        return self._sign(badge_info, status_payload)
+        self._admit_first(coupon, dose)
+        badge_info = BadgeInfo(dose_history=(dose,), coupon=coupon, binding=TreeRoot(pii_root))
+        return self._sign(badge_info, user_key)
 
     def second_dose(self, badge: Badge, dose: DoseInfo, user_key=None):
         """Second dose against an existing badge: returns the extended
-        badge plus a refreshed fully-vaccinated status."""
+        badge plus a refreshed fully-vaccinated status. An app badge
+        needs the holder key for its status."""
         from .verification import verify_badge  # local import, no cycle at load
 
-        parsed = verify_badge(self.vk_badge, badge)
-        if parsed is None:
+        if verify_badge(self.vk_issuer, badge) is None:
             raise BadSignatureError("badge signature does not verify")
         if len(badge.info.dose_history) != 1:
             raise WrongStateError("badge already records a completed course")
@@ -259,7 +211,7 @@ class PharmacySession:
         first = badge.info.dose_history[0]
         if parse_date(dose.date) < parse_date(first.date):
             raise CanonicalError("second dose dated before the first")
-        if self.product_rule == "same-product" and dose.product != first.product:
+        if dose.product != first.product:
             raise ProductMismatchError(
                 f"course started with {first.product!r}, got {dose.product!r}"
             )
@@ -272,15 +224,4 @@ class PharmacySession:
             coupon=badge.info.coupon,
             binding=badge.info.binding,
         )
-        if isinstance(badge.info.binding, Commitment):
-            status_binding = PasskeyHash(badge.info.binding.digest)
-        else:
-            if user_key is None:
-                raise VaxError("app wallet second dose needs the holder key")
-            status_binding = AppBinding(
-                user_key=user_key, pii_root=badge.info.binding.digest
-            )
-        status_payload = StatusPayload(
-            level=VaccinationLevel.FULLY, binding=status_binding, date=dose.date
-        )
-        return self._sign(badge_info, status_payload)
+        return self._sign(badge_info, user_key)

@@ -16,6 +16,7 @@ from typing import Optional
 from .credentials import (
     AppBinding,
     Badge,
+    BadgeInfo,
     Commitment,
     Passkey,
     PasskeyHash,
@@ -29,28 +30,12 @@ from .merkle import verify_disclosure
 from .wallet import Presentation, PresentationKind
 
 
-@dataclass(frozen=True)
-class ParsedBadge:
-    dose_history: tuple
-    binding: object
-    coupon_id: bytes
-
-    @property
-    def level(self) -> VaccinationLevel:
-        return VaccinationLevel(len(self.dose_history))
-
-
-def verify_badge(vk: VerifyingKey, badge) -> Optional[ParsedBadge]:
-    """Signature check (the constructor checked the structure); None on
-    any failure."""
+def verify_badge(vk: VerifyingKey, badge) -> Optional[BadgeInfo]:
+    """The badge's info when its signature verifies (the constructor
+    checked the structure); None on any failure."""
     if not isinstance(badge, Badge) or not badge.verify(vk):
         return None
-    info = badge.info
-    return ParsedBadge(
-        dose_history=info.dose_history,
-        binding=info.binding,
-        coupon_id=info.coupon.coupon_id,
-    )
+    return badge.info
 
 
 def verify_status(vk: VerifyingKey, status) -> Optional[VaccinationLevel]:
@@ -100,10 +85,10 @@ def verify_presentation(keys, presentation, required_labels=()) -> object:
         kind = presentation.kind
 
         if kind is PresentationKind.BADGE_ONLY:
-            parsed = _first(lambda vk: verify_badge(vk, presentation.badge), accepted)
-            if parsed is None:
+            info = _first(lambda vk: verify_badge(vk, presentation.badge), accepted)
+            if info is None:
                 return Reject("bad-signature")
-            return Verdict(level=parsed.level)
+            return Verdict(level=info.level)
 
         level = _first(lambda vk: verify_status(vk, presentation.status), accepted)
         if level is None:

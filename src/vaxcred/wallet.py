@@ -7,8 +7,8 @@ hash tree, and discloses individual fields through tree proofs instead
 of ever showing the passkey. A presentation contains exactly what the
 holder consented to and nothing else.
 
-Wallet files are encrypted with a passphrase; the file format is a
-version byte, a KDF salt, an AEAD nonce, and the sealed body.
+Wallet files are sealed with a passphrase (``crypto.seal_with_passphrase``:
+a version byte, a KDF salt, an AEAD nonce, and the sealed body).
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from . import canonical
 from .credentials import (
@@ -36,9 +33,8 @@ from .credentials import (
     parse_date,
 )
 from .coupons import Coupon
-from .crypto import KeyHandle, SALT_LEN, VerifyingKey, _passphrase_key
+from .crypto import KeyHandle, VerifyingKey, open_with_passphrase, seal_with_passphrase
 from .errors import (
-    AuthFailureError,
     CanonicalError,
     ConsentDeniedError,
     EmptyRequestError,
@@ -248,10 +244,7 @@ def second_dose_due(state: WalletState, today, interval_days: int = 21):
 
 # -- persistence -------------------------------------------------------------
 
-_WALLET_VERSION = b"\x01"
 _WALLET_INFO = b"vaxcred wallet v1"
-
-
 _STORED_TYPES = {"coupon": Coupon, "badge": Badge, "status": Status, "passkey": Passkey}
 
 
@@ -288,11 +281,7 @@ def _wallet_from_wire(obj: dict, passphrase: str) -> WalletState:
 
 def save_wallet(state: WalletState, path, passphrase: str) -> None:
     body = canonical.encode(_wallet_wire(state, passphrase))
-    kdf_salt = os.urandom(SALT_LEN)
-    nonce = os.urandom(12)
-    key = _passphrase_key(passphrase, kdf_salt)
-    sealed = ChaCha20Poly1305(key).encrypt(nonce, body, _WALLET_INFO)
-    write_atomic(path, _WALLET_VERSION + kdf_salt + nonce + sealed)
+    write_atomic(path, seal_with_passphrase(body, passphrase, _WALLET_INFO))
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -317,14 +306,5 @@ def write_atomic(path, data: bytes) -> None:
 def load_wallet(path, passphrase: str) -> WalletState:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 1 + SALT_LEN + 12 + 16 or blob[:1] != _WALLET_VERSION:
-        raise CanonicalError("not a wallet file")
-    kdf_salt = blob[1 : 1 + SALT_LEN]
-    nonce = blob[1 + SALT_LEN : 1 + SALT_LEN + 12]
-    sealed = blob[1 + SALT_LEN + 12 :]
-    key = _passphrase_key(passphrase, kdf_salt)
-    try:
-        body = ChaCha20Poly1305(key).decrypt(nonce, sealed, _WALLET_INFO)
-    except InvalidTag as exc:
-        raise AuthFailureError("wrong passphrase or corrupted wallet") from exc
+    body = open_with_passphrase(blob, passphrase, _WALLET_INFO)
     return _wallet_from_wire(canonical.decode(body), passphrase)

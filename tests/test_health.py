@@ -285,6 +285,15 @@ def test_noise_applied_once():
         add_dp_noise(noisy, epsilon=1.0, rng=random.Random(5))
 
 
+def test_noise_without_an_rng_leaves_the_module_generator_alone():
+    """Uninjected noise comes from the OS generator: it neither reads nor
+    advances the module-level MT19937, whose outputs can be predicted."""
+    agg = combine_aggregates(*_run_clients([SymptomVector((1, 2))], random.Random(5)))
+    before = random.getstate()
+    add_dp_noise(agg, 1.0)
+    assert random.getstate() == before
+
+
 def test_noise_parameter_validation(rng):
     agg = combine_aggregates(*_run_clients([SymptomVector((1,))], rng))
     for eps, sens in ((0, 1.0), (-1.0, 1.0), (1.0, 0), (1.0, -2.0)):

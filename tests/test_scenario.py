@@ -1,9 +1,11 @@
 """Deterministic multi-party simulation runs."""
 
+import hashlib
 import json
 
 import pytest
 
+from vaxcred.cli import main
 from vaxcred.errors import VaxError
 from vaxcred.scenario import (
     ScenarioScript,
@@ -18,6 +20,18 @@ def test_same_seed_same_transcript():
     a = run_scenario(script, seed=42).to_text()
     b = run_scenario(script, seed=42).to_text()
     assert a == b  # byte-identical replays
+
+
+def test_canonical_transcript_bytes_are_pinned(capsys):
+    """`vaxcred sim run --scenario canonical --seed 11 --users 40` prints
+    the same bytes from release to release: every key, salt, signature and
+    registry step of the run lands in it."""
+    assert main(["sim", "run", "--scenario", "canonical", "--seed", "11",
+                 "--users", "40"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "5a4b7b43bceef250318c981c1d6b9b2207bc5b327f92fa4a480017a5d60d31ac"
+    )
 
 
 def test_different_seed_different_transcript():

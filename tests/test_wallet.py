@@ -2,11 +2,14 @@
 
 import builtins
 import errno
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from vaxcred.coupons import issue_coupon_batch
+from vaxcred.crypto import KeyHandle
 from vaxcred.credentials import DoseInfo, VaccinationLevel
 from vaxcred.errors import (
     AuthFailureError,
@@ -268,6 +271,22 @@ def test_load_wrong_passphrase(tmp_path, paper_wallet):
     save_wallet(paper_wallet, path, "right")
     with pytest.raises(AuthFailureError):
         load_wallet(path, "wrong")
+
+
+def test_blobs_sealed_by_the_earlier_codec_still_open(tmp_path):
+    """A key blob and an app wallet file written before the two shared one
+    sealing codec open with their passphrase and hold what they held."""
+    sealed = json.loads((Path(__file__).parent / "sealed_blobs.json").read_text())
+    passphrase = sealed["passphrase"]
+    handle = KeyHandle.unseal(bytes.fromhex(sealed["key_blob"]), passphrase)
+    assert handle.verifying_key.hex() == sealed["key_verifying_key"]
+    path = tmp_path / "w.bin"
+    path.write_bytes(bytes.fromhex(sealed["app_wallet"]))
+    loaded = load_wallet(path, passphrase)
+    assert loaded.verifying_key.hex() == sealed["app_wallet_verifying_key"]
+    assert loaded.pii_tree.root.hex() == sealed["app_wallet_tree_root"]
+    assert loaded.badge.to_bytes().hex() == sealed["app_wallet_badge"]
+    assert loaded.status.payload.binding.user_key == loaded.verifying_key
 
 
 def test_load_corrupt_file(tmp_path, paper_wallet):

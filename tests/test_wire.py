@@ -526,6 +526,42 @@ def test_reply_lost_after_the_registry_moved_is_resent(issuer, issuer_key, rng,
     assert len(connects) == 2
 
 
+def test_reply_lost_on_a_new_connection_is_resent(issuer, issuer_key, rng,
+                                                   tmp_path, connects, monkeypatch):
+    """The server records the first dose and drops the client's first
+    connection before replying. The client re-sends the identical frame on
+    a second connection, the dose completes, and the coupon is not burned."""
+    replies = []
+    handle = service.handle_request_bytes
+
+    def lose_first_reply(issuer_, data):
+        replies.append(handle(issuer_, data))
+        if len(replies) == 1:
+            raise ConnectionResetError("reply lost")
+        return replies[-1]
+
+    monkeypatch.setattr(service, "handle_request_bytes", lose_first_reply)
+    log = tmp_path / "registry.jsonl"
+    with Registry(log) as registry:
+        coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                    registry=registry, start_index=61)[0]
+        server = serve(BadgeIssuer(issuer, registry))
+        client = SigningClient("127.0.0.1", server.port)
+        try:
+            session = _pharmacy(issuer_key, registry, client, rng)
+            badge, status, _ = session.issue_credentials_paper(coupon, DOSE1, PII)
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+    assert len(replies) == 2 and replies[1] == replies[0]
+    answer = canonical.decode(replies[1])
+    assert (answer["sb"], answer["ss"]) == (badge.signature, status.signature)
+    ops = [json.loads(line)["op"] for line in log.read_text().splitlines()]
+    assert ops == ["register", "dose1"]
+    assert len(connects) == 2
+
+
 def test_more_kept_clients_than_the_cap_each_complete_doses(
         issuer, issuer_key, registry, monkeypatch):
     """Silent connections and kept clients past the cap do not lock a
