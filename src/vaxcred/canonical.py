@@ -48,20 +48,26 @@ class DecodedMap(dict):
     __slots__ = ("raw",)
 
 
-def _varint(value: int) -> bytes:
-    """Unsigned LEB128, always minimal length."""
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+def _head(tag: int, size: int) -> bytes:
+    """A tag and its minimal unsigned LEB128 varint; from a table when the
+    varint is one byte."""
+    if size < 0x80:
+        return _HEADS[tag][size]
+    out = bytearray((tag,))
+    while size > 0x7F:
+        out.append(size & 0x7F | 0x80)
+        size >>= 7
+    out.append(size)
+    return bytes(out)
+
+
+_HEADS = {tag: [bytes((tag, size)) for size in range(0x80)]
+          for tag in (_TAG_UINT, _TAG_BYTES, _TAG_TEXT, _TAG_LIST, _TAG_MAP)}
 
 
 def _take_varint(data: bytes, offset: int):
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
     value = 0
     shift = 0
     start = offset
@@ -90,54 +96,58 @@ def encode(value) -> bytes:
     return bytes(out)
 
 
+# bool before int: bool is an int subclass
+_KINDS = (bool, int, bytes, str, Encoded, list, tuple, dict)
+_EXACT = frozenset(_KINDS)
+
+
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CanonicalError("text is not encodable as UTF-8") from exc
+
+
 def _encode_into(out: bytearray, value) -> None:
-    # bool before int: bool is an int subclass
-    if isinstance(value, bool):
+    kind = type(value)
+    if kind not in _EXACT:  # a subclass, such as an IntEnum, encodes as its base
+        kind = next((base for base in _KINDS if isinstance(value, base)), None)
+        if kind is None:
+            raise CanonicalError(f"unencodable type: {type(value).__name__}")
+    if kind is str:
+        raw = _utf8(value)
+        out += _head(_TAG_TEXT, len(raw))
+        out += raw
+    elif kind is bytes:
+        out += _head(_TAG_BYTES, len(value))
+        out += value
+    elif kind is Encoded:
+        out += value.data
+    elif kind is bool:
         out.append(_TAG_BOOL)
         out.append(1 if value else 0)
-    elif isinstance(value, int):
+    elif kind is int:
         if not 0 <= value <= _U64_MAX:
             raise CanonicalError(f"integer out of unsigned 64-bit range: {value}")
-        out.append(_TAG_UINT)
-        out += _varint(value)
-    elif isinstance(value, bytes):
-        out.append(_TAG_BYTES)
-        out += _varint(len(value))
-        out += value
-    elif isinstance(value, str):
+        out += _head(_TAG_UINT, value)
+    elif kind is dict:
+        # code-point order is UTF-8 byte order, so str keys sort as their bytes
         try:
-            raw = value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise CanonicalError("text is not encodable as UTF-8") from exc
-        out.append(_TAG_TEXT)
-        out += _varint(len(raw))
-        out += raw
-    elif isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST)
-        out += _varint(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif isinstance(value, dict):
-        items = []
-        for key, item in value.items():
+            keys = sorted(value)
+        except TypeError as exc:
+            raise CanonicalError("map keys must be text") from exc
+        out += _head(_TAG_MAP, len(keys))
+        for key in keys:
             if not isinstance(key, str):
                 raise CanonicalError(f"map keys must be text, got {type(key).__name__}")
-            items.append((key.encode("utf-8"), item))
-        items.sort(key=lambda kv: kv[0])
-        for i in range(1, len(items)):
-            if items[i][0] == items[i - 1][0]:
-                raise CanonicalError(f"duplicate map key: {items[i][0]!r}")
-        out.append(_TAG_MAP)
-        out += _varint(len(items))
-        for key_bytes, item in items:
-            out.append(_TAG_TEXT)
-            out += _varint(len(key_bytes))
-            out += key_bytes
+            raw = _utf8(key)
+            out += _head(_TAG_TEXT, len(raw))
+            out += raw
+            _encode_into(out, value[key])
+    else:  # list or tuple
+        out += _head(_TAG_LIST, len(value))
+        for item in value:
             _encode_into(out, item)
-    elif isinstance(value, Encoded):
-        out += value.data
-    else:
-        raise CanonicalError(f"unencodable type: {type(value).__name__}")
 
 
 class Wire:
@@ -177,24 +187,49 @@ def decode(data: bytes):
 def _decode_at(data: bytes, offset: int, depth: int):
     if depth > _MAX_DEPTH:
         raise CanonicalError("nesting too deep")
-    if offset >= len(data):
+    end = len(data)
+    if offset >= end:
         raise CanonicalError("truncated value")
     tag = data[offset]
     offset += 1
+    if tag == _TAG_TEXT or tag == _TAG_BYTES:
+        if offset < end and data[offset] < 0x80:
+            stop = offset + 1 + data[offset]
+            offset += 1
+        else:
+            size, offset = _take_varint(data, offset)
+            stop = offset + size
+        if stop > end:
+            raise CanonicalError("truncated payload")
+        if tag == _TAG_BYTES:
+            return data[offset:stop], stop
+        return _text(data[offset:stop]), stop
     if tag == _TAG_UINT:
         return _take_varint(data, offset)
-    if tag == _TAG_BOOL:
-        if offset >= len(data):
-            raise CanonicalError("truncated bool")
-        byte = data[offset]
-        if byte not in (0, 1):
-            raise CanonicalError(f"non-canonical bool byte {byte}")
-        return bool(byte), offset + 1
-    if tag == _TAG_BYTES:
-        raw, offset = _take_sized(data, offset)
-        return raw, offset
-    if tag == _TAG_TEXT:
-        return _take_text(data, offset)
+    if tag == _TAG_MAP:
+        start = offset - 1
+        count, offset = _take_varint(data, offset)
+        result = DecodedMap()
+        prev_key: bytes | None = None
+        for _ in range(count):
+            if offset + 1 < end and data[offset] == _TAG_TEXT and data[offset + 1] < 0x80:
+                stop = offset + 2 + data[offset + 1]
+                offset += 2
+            else:
+                if offset >= end or data[offset] != _TAG_TEXT:
+                    raise CanonicalError("map key must be text")
+                size, offset = _take_varint(data, offset + 1)
+                stop = offset + size
+            if stop > end:
+                raise CanonicalError("truncated payload")
+            key_bytes = data[offset:stop]
+            if prev_key is not None and key_bytes <= prev_key:
+                raise CanonicalError("map keys not strictly byte-sorted")
+            prev_key = key_bytes
+            value, offset = _decode_at(data, stop, depth + 1)
+            result[_text(key_bytes)] = value
+        result.raw = memoryview(data)[start:offset]
+        return result, offset
     if tag == _TAG_LIST:
         count, offset = _take_varint(data, offset)
         items = []
@@ -202,39 +237,21 @@ def _decode_at(data: bytes, offset: int, depth: int):
             item, offset = _decode_at(data, offset, depth + 1)
             items.append(item)
         return items, offset
-    if tag == _TAG_MAP:
-        start = offset - 1
-        count, offset = _take_varint(data, offset)
-        result = DecodedMap()
-        prev_key: bytes | None = None
-        for _ in range(count):
-            if offset >= len(data) or data[offset] != _TAG_TEXT:
-                raise CanonicalError("map key must be text")
-            key, offset = _take_text(data, offset + 1)
-            key_bytes = key.encode("utf-8")
-            if prev_key is not None and key_bytes <= prev_key:
-                raise CanonicalError("map keys not strictly byte-sorted")
-            prev_key = key_bytes
-            value, offset = _decode_at(data, offset, depth + 1)
-            result[key] = value
-        result.raw = memoryview(data)[start:offset]
-        return result, offset
+    if tag == _TAG_BOOL:
+        if offset >= end:
+            raise CanonicalError("truncated bool")
+        byte = data[offset]
+        if byte not in (0, 1):
+            raise CanonicalError(f"non-canonical bool byte {byte}")
+        return bool(byte), offset + 1
     raise CanonicalError(f"unknown type tag 0x{tag:02x}")
 
 
-def _take_sized(data: bytes, offset: int):
-    size, offset = _take_varint(data, offset)
-    if offset + size > len(data):
-        raise CanonicalError("truncated payload")
-    return data[offset : offset + size], offset + size
-
-
-def _take_text(data: bytes, offset: int):
-    raw, offset = _take_sized(data, offset)
+def _text(raw: bytes) -> str:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CanonicalError("invalid UTF-8 in text") from exc
-    if text.encode("utf-8") != raw:
+    if not text.isascii() and text.encode("utf-8") != raw:
         raise CanonicalError("non-canonical UTF-8")
-    return text, offset
+    return text

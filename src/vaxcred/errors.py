@@ -44,10 +44,6 @@ class AuthFailureError(VaxError):
     code = "auth-failure"
 
 
-class RandomnessError(VaxError):
-    code = "randomness"
-
-
 class DuplicateLabelError(VaxError):
     code = "duplicate-label"
 
@@ -146,10 +142,6 @@ class TrustFailureError(VaxError):
     """Venue channel trust bootstrap failed; no channel established."""
 
     code = "trust-failure"
-
-
-class UnsupportedError(VaxError):
-    code = "unsupported"
 
 
 class SessionStateError(VaxError):

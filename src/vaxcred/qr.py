@@ -4,13 +4,15 @@ Base-32 keeps the body in the QR alphanumeric character set and makes
 scanning case-insensitive; the prefix names the payload type so a badge
 can never be fed to a coupon reader. Decoding is strict (exact alphabet,
 bit-exact round trip) and, when the relevant issuer key is supplied,
-re-verifies the embedded signature before returning the object.
+re-verifies the embedded signature before returning the object. Each
+payload has one text, apart from case and surrounding whitespace: a body
+whose last character carries non-zero unused bits is refused (RFC 4648
+section 3.5).
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import re
 from typing import Optional
 
@@ -37,7 +39,11 @@ _TYPES = {
     "DSC1": DisclosureProof,
 }
 _PREFIX_OF = {cls: prefix for prefix, cls in _TYPES.items()}
-_BODY_RE = re.compile(r"^[A-Z2-7]+$")
+# not re.IGNORECASE, which would also match "ſ" and the Kelvin sign
+_BODY_RE = re.compile(r"[A-Za-z2-7]+")
+# the RFC 4648 alphabet, either case, onto the digits int(..., 32) reads
+_TO_DIGITS = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ234567abcdefghijklmnopqrstuvwxyz",
+                           "0123456789ABCDEFGHIJKLMNOPQRSTUV0123456789ABCDEFGHIJKLMNOP")
 
 
 def _b32(data: bytes) -> str:
@@ -45,14 +51,17 @@ def _b32(data: bytes) -> str:
 
 
 def _unb32(body: str) -> bytes:
-    body = body.strip().upper()
-    if not body or not _BODY_RE.match(body):
+    body = body.strip()
+    if _BODY_RE.fullmatch(body) is None:
         raise DecodeError("body is not unpadded base-32")
-    pad = (-len(body)) % 8
-    try:
-        return base64.b32decode(body + "=" * pad)
-    except (binascii.Error, ValueError) as exc:
-        raise DecodeError(f"base-32 decode failed: {exc}") from exc
+    if len(body) % 8 in (1, 3, 6):
+        raise DecodeError(f"base-32 body of {len(body)} chars is not a whole number of bytes")
+    size, unused = divmod(5 * len(body), 8)
+    # the alphabet check above keeps "_", signs, spaces and non-ASCII digits from int()
+    value = int(body.translate(_TO_DIGITS), 32)
+    if value & ((1 << unused) - 1):
+        raise DecodeError("base-32 body has non-zero unused bits")
+    return (value >> unused).to_bytes(size, "big")
 
 
 def encode_qr(payload) -> str:
@@ -83,9 +92,9 @@ def decode_qr(
         raise DecodeError("QR payload must be text")
     if len(text) > MAX_QR_CHARS:
         raise LengthExceededError(f"QR text of {len(text)} chars exceeds {MAX_QR_CHARS}")
-    prefix, sep, body = text.strip().partition(":")
-    prefix = prefix.upper()
-    if not sep or prefix not in _TYPES:
+    head, sep, body = text.strip().partition(":")
+    prefix = head.upper()
+    if not sep or prefix not in _TYPES or not head.isascii():
         raise UnknownPrefixError(f"unknown QR prefix {prefix[:8]!r}")
     cls = _TYPES[prefix]
     if expect is not None and cls is not expect:

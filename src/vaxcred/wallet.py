@@ -158,12 +158,6 @@ class WalletState:
     def verifying_key(self) -> Optional[VerifyingKey]:
         return self.key.verifying_key if self.key is not None else None
 
-    @property
-    def dose_dates(self) -> tuple:
-        if self.badge is None:
-            return ()
-        return tuple(d.date for d in self.badge.info.dose_history)
-
 
 def wallet_init_paper(coupon: Optional[Coupon] = None) -> WalletState:
     return WalletState(variant="paper", coupon=coupon)

@@ -108,16 +108,23 @@ def test_none_and_float_unencodable():
         canonical.encode(1.5)
     with pytest.raises(CanonicalError):
         canonical.encode({1: "a"})
+    with pytest.raises(CanonicalError):  # keys that do not even sort
+        canonical.encode({1: "a", "b": 2})
+    with pytest.raises(CanonicalError):  # a lone surrogate has no UTF-8
+        canonical.encode({"\ud800": 1})
 
 
+# bytes, texts and keys run on both sides of 127 encoded bytes, where a
+# length stops fitting in one varint byte
+keys = st.text(max_size=8) | st.text(min_size=100, max_size=140)
 values = st.deferred(
     lambda: st.one_of(
         st.booleans(),
         st.integers(min_value=0, max_value=2**64 - 1),
-        st.binary(max_size=64),
-        st.text(max_size=32),
+        st.binary(max_size=64) | st.binary(min_size=120, max_size=200),
+        st.text(max_size=32) | st.text(min_size=100, max_size=160),
         st.lists(values, max_size=5),
-        st.dictionaries(st.text(max_size=8), values, max_size=5),
+        st.dictionaries(keys, values, max_size=5),
     )
 )
 

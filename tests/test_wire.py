@@ -1,5 +1,7 @@
 """QR text codec and the TCP signing service (real sockets, loopback)."""
 
+import base64
+import binascii
 import json
 import random
 import socket
@@ -10,7 +12,7 @@ import time
 
 import pytest
 
-from vaxcred import canonical, service, vaccination
+from vaxcred import canonical, qr, service, vaccination
 from vaxcred.coupons import issue_coupon_batch
 from vaxcred.credentials import Badge, BadgeInfo, DoseInfo, Passkey, Status, VaccinationLevel
 from vaxcred.crypto import generate_keypair, sha256
@@ -79,6 +81,90 @@ def test_qr_case_insensitive(artifacts):
     coupon = artifacts[0]
     text = encode_qr(coupon)
     assert decode_qr(text.lower()).to_bytes() == coupon.to_bytes()
+
+
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
+
+
+def _flip_last_bit(body: str) -> str:
+    """The body with the lowest bit of its last character's value flipped."""
+    return body[:-1] + _ALPHABET[_ALPHABET.index(body[-1].upper()) ^ 1]
+
+
+def test_qr_texts_are_not_malleable(artifacts, issuer_key):
+    """One text per payload, apart from case and surrounding whitespace:
+    the unused low bits of the last character must be zero."""
+    coupon, badge, status = artifacts[0], artifacts[1], artifacts[2]
+    for obj in (coupon, badge, status):
+        text = encode_qr(obj)
+        prefix, _, body = text.partition(":")
+        assert len(body) % 8  # the last character carries unused bits
+        for shown in (text, text.lower()):
+            assert decode_qr(f"  {shown}\n").to_bytes() == obj.to_bytes()
+            with pytest.raises(DecodeError):
+                decode_qr(shown[:-1] + _flip_last_bit(shown[-1]))
+    url = export_coupon_url(coupon)
+    assert len(url[len("vax://c/"):]) % 8
+    assert import_coupon_url(url.lower(), coupon_key=issuer_key)
+    with pytest.raises(DecodeError):
+        import_coupon_url(url[:-1] + _flip_last_bit(url[-1]))
+    # upper() maps "ſ" (U+017F) onto "S": neither prefix nor body may lean on it
+    text = encode_qr(status)
+    with pytest.raises(UnknownPrefixError):
+        decode_qr("ſTS1" + text[4:])
+    body = text[5:]
+    pos = next(i for i, ch in enumerate(body) if ch == "S")
+    with pytest.raises(DecodeError):
+        decode_qr(text[:5] + body[:pos] + "ſ" + body[pos + 1:])
+
+
+def _reference_unb32(body: str):
+    """The stdlib's base-32 decoder plus RFC 4648 section 3.5's rule that
+    unused bits are zero; None where a body is refused."""
+    body = body.strip()
+    if not body or "=" in body:  # unpadded only
+        return None
+    try:
+        data = base64.b32decode(body + "=" * (-len(body) % 8), casefold=True)
+    except (binascii.Error, ValueError):
+        return None
+    encoded = base64.b32encode(data).decode("ascii").rstrip("=")
+    return data if encoded == body.upper() else None
+
+
+def test_unb32_matches_b32decode_with_the_zero_bit_rule():
+    rng = random.Random(32)
+    pool = _ALPHABET + _ALPHABET.lower()[:26] + "=_+- 018ſ٣"
+    bodies = []
+    for length in range(1, 81):
+        valid = base64.b32encode(rng.randbytes(5 * length // 8)).decode("ascii").rstrip("=")
+        bodies += [
+            valid,
+            valid.lower(),
+            "".join(rng.choice(_ALPHABET) for _ in range(length)),
+            "".join(rng.choice(pool) for _ in range(length)),
+        ]
+        pos = rng.randrange(len(valid)) if valid else 0
+        bodies.append(valid[:pos] + rng.choice("=_+- 018ſ٣") + valid[pos + 1:])
+    bodies.append(base64.b32encode(rng.randbytes(1280)).decode("ascii"))
+    assert len(bodies[-1]) == 2048
+    bodies.append(bodies[-1][:-1] + _flip_last_bit(bodies[-1][-1]))
+    accepted = 0
+    for body in bodies:
+        expected = _reference_unb32(body)
+        if expected is None:
+            with pytest.raises(DecodeError):
+                qr._unb32(body)
+        else:
+            assert qr._unb32(body) == expected
+            accepted += 1
+    assert accepted > 150
+    # int(..., 32) takes an underscore between digits, a sign and any Unicode
+    # digit; only the alphabet check stands between these bodies and int()
+    for body in ("M_YA", "+MYA", "-MYA", "MY٣A"):
+        int(body.upper().translate(qr._TO_DIGITS), 32)  # raises no ValueError
+        with pytest.raises(DecodeError):
+            qr._unb32(body)
 
 
 def test_qr_expect_pins_the_type(artifacts):
