@@ -6,159 +6,4 @@ from a salted hash tree, contactless group verification with rotating
 short codes, and split-share symptom aggregation with calibrated noise.
 """
 
-from .config import Config, load_config
-from .coupons import (
-    Coupon,
-    CouponPayload,
-    DistributorBatch,
-    EligibilityRecord,
-    distribute,
-    issue_coupon_batch,
-    verify_coupon,
-)
-from .credentials import (
-    Badge,
-    BadgeInfo,
-    DoseInfo,
-    Passkey,
-    Status,
-    StatusPayload,
-    VaccinationLevel,
-)
-from .crypto import KeyHandle, VerifyingKey, generate_keypair
-from .errors import VaxError
-from .groupverify import (
-    GateDecision,
-    TrustMode,
-    VenueIdentity,
-    accept_channel,
-    make_venue,
-    open_channel,
-    receive_challenge,
-    submit_status,
-    venue_start,
-)
-from .health import (
-    AggregateResult,
-    AggServer,
-    AlertEntry,
-    AlertFeed,
-    ReportStore,
-    SymptomReport,
-    SymptomVector,
-    add_dp_noise,
-    combine_aggregates,
-    match_alerts,
-    publish_alert_feed,
-    split_shares,
-    upload_report,
-)
-from .merkle import DisclosureProof, PiiTree, build_pii_tree, prove_disclosure, verify_disclosure
-from .qr import decode_qr, encode_qr, export_coupon_url, import_coupon_url
-from .registry import Registry, Stage
-from .service import SigningClient, serve
-from .vaccination import AdmitDecision, BadgeIssuer, PharmacySession, pharmacy_admit
-from .verification import (
-    Reject,
-    Verdict,
-    VenueTranscript,
-    linkage_audit,
-    verify_badge,
-    verify_presentation,
-    verify_status,
-)
-from .wallet import (
-    DisclosureConsent,
-    Presentation,
-    PresentationKind,
-    WalletState,
-    load_wallet,
-    present,
-    save_wallet,
-    second_dose_due,
-    store_credentials,
-    wallet_init_app,
-    wallet_init_paper,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmitDecision",
-    "AggServer",
-    "AggregateResult",
-    "AlertEntry",
-    "AlertFeed",
-    "Badge",
-    "BadgeInfo",
-    "BadgeIssuer",
-    "Config",
-    "Coupon",
-    "CouponPayload",
-    "DisclosureConsent",
-    "DisclosureProof",
-    "DistributorBatch",
-    "DoseInfo",
-    "EligibilityRecord",
-    "GateDecision",
-    "KeyHandle",
-    "Passkey",
-    "PharmacySession",
-    "PiiTree",
-    "Presentation",
-    "PresentationKind",
-    "Registry",
-    "Reject",
-    "ReportStore",
-    "Stage",
-    "Status",
-    "StatusPayload",
-    "SigningClient",
-    "SymptomReport",
-    "SymptomVector",
-    "TrustMode",
-    "VaccinationLevel",
-    "VaxError",
-    "Verdict",
-    "VenueIdentity",
-    "VenueTranscript",
-    "VerifyingKey",
-    "WalletState",
-    "accept_channel",
-    "add_dp_noise",
-    "build_pii_tree",
-    "combine_aggregates",
-    "decode_qr",
-    "distribute",
-    "encode_qr",
-    "export_coupon_url",
-    "generate_keypair",
-    "import_coupon_url",
-    "issue_coupon_batch",
-    "linkage_audit",
-    "load_config",
-    "load_wallet",
-    "make_venue",
-    "match_alerts",
-    "open_channel",
-    "pharmacy_admit",
-    "present",
-    "prove_disclosure",
-    "publish_alert_feed",
-    "receive_challenge",
-    "save_wallet",
-    "second_dose_due",
-    "serve",
-    "split_shares",
-    "store_credentials",
-    "submit_status",
-    "upload_report",
-    "venue_start",
-    "verify_badge",
-    "verify_coupon",
-    "verify_disclosure",
-    "verify_presentation",
-    "verify_status",
-    "wallet_init_app",
-    "wallet_init_paper",
-]

@@ -25,15 +25,7 @@ from .coupons import Coupon, DistributorBatch, EligibilityRecord, issue_coupon_b
 from .credentials import Badge, DoseInfo, Passkey, Status, VaccinationLevel
 from .crypto import KeyHandle, VerifyingKey, generate_keypair
 from .errors import ConfigError, VaxError
-from .groupverify import (
-    TrustMode,
-    accept_channel,
-    make_venue,
-    open_channel,
-    receive_challenge,
-    submit_status,
-    venue_start,
-)
+from .groupverify import gate_round_trip, make_venue, venue_start
 from .health import (
     AggServer,
     AlertEntry,
@@ -429,23 +421,15 @@ def cmd_venue_gate(args) -> int:
         required_level=VaccinationLevel(args.required_level),
         rotation_period=args.rotation, rng=rng,
     )
-    now = args.at
-    channel, hello = open_channel(
-        venue.advertisement, TrustMode.ISSUER_SIGNED,
+    reason, code = gate_round_trip(
+        session, wallet.status, wallet.key, args.at, args.delay,
         issuer_key=issuer_handle.verifying_key, rng=rng,
     )
-    venue_end = accept_channel(venue, hello)
-    frame = submit_status(channel, wallet.status)
-    decision, response = session.process_status(venue_end, frame, now)
-    if not decision.accepted:
-        print(f"reject: {decision.reason}")
+    if reason != "ok":
+        print(f"reject: {reason}")
         return 2
-    code = receive_challenge(channel, wallet.key, response)
-    if session.guard_check(code, now + args.delay):
-        print(f"admit: code {code}")
-        return 0
-    print("reject: code outside the accepted windows")
-    return 2
+    print(f"admit: code {code}")
+    return 0
 
 
 # -- health -------------------------------------------------------------------

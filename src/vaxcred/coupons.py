@@ -158,7 +158,3 @@ class DistributorBatch:
                 self.released.add(c.payload.index)
                 return c
         raise BatchExhaustedError("all coupons already handed out")
-
-
-def distribute(batch: DistributorBatch, record: EligibilityRecord) -> Coupon:
-    return batch.distribute(record)

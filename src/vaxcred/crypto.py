@@ -9,11 +9,9 @@ domain tags so digests from different contexts can never be spliced.
 from __future__ import annotations
 
 import hashlib
-import os
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -58,11 +56,21 @@ def tagged_hash(tag: bytes, data: bytes) -> bytes:
     return hashlib.sha256(tag + data).digest()
 
 
+# the OS generator: its randbytes is os.urandom, and getrandbits and
+# randrange draw from os.urandom too
+_SYSTEM_RANDOM = secrets.SystemRandom()
+
+
+def randomness(rng=None):
+    """The injected rng (a random.Random, for simulations), else the OS
+    generator. Every draw goes through randbytes, getrandbits or
+    randrange, so production takes the same path as a seeded run."""
+    return _SYSTEM_RANDOM if rng is None else rng
+
+
 def new_salt(rng=None) -> bytes:
     """16 bytes from a CSPRNG (or the injected rng, for simulations)."""
-    if rng is not None:
-        return rng.randbytes(SALT_LEN)
-    return secrets.token_bytes(SALT_LEN)
+    return randomness(rng).randbytes(SALT_LEN)
 
 
 def salted_hash(value: bytes, salt: bytes) -> bytes:
@@ -228,10 +236,8 @@ def generate_keypair(rng=None) -> tuple[KeyHandle, VerifyingKey]:
     ``rng`` (a random.Random) makes generation reproducible for
     simulations; production callers leave it unset for OS randomness.
     """
-    if rng is not None:
-        sign_seed, enc_seed = rng.randbytes(32), rng.randbytes(32)
-    else:
-        sign_seed, enc_seed = os.urandom(32), os.urandom(32)
+    source = randomness(rng)
+    sign_seed, enc_seed = source.randbytes(32), source.randbytes(32)
     handle = KeyHandle(
         Ed25519PrivateKey.from_private_bytes(sign_seed),
         X25519PrivateKey.from_private_bytes(enc_seed),
@@ -370,12 +376,9 @@ def _derive_aead_key(shared: bytes, ephemeral_pub: bytes) -> bytes:
 
 def encrypt_to(pk: VerifyingKey, plaintext: bytes, rng=None) -> PkCiphertext:
     """Randomized encryption to the encryption half of ``pk``."""
-    if rng is not None:
-        eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-        nonce = rng.randbytes(12)
-    else:
-        eph = X25519PrivateKey.generate()
-        nonce = secrets.token_bytes(12)
+    source = randomness(rng)
+    eph = X25519PrivateKey.from_private_bytes(source.randbytes(32))
+    nonce = source.randbytes(12)
     shared = eph.exchange(X25519PublicKey.from_public_bytes(pk.enc_bytes))
     eph_pub = eph.public_key().public_bytes_raw()
     key = _derive_aead_key(shared, eph_pub)

@@ -32,12 +32,6 @@ class LengthExceededError(DecodeError):
     code = "length-exceeded"
 
 
-class SignatureInvalidError(VaxError):
-    """Embedded signature failed verification after decode."""
-
-    code = "signature-invalid"
-
-
 class AuthFailureError(VaxError):
     """Ciphertext not addressed to this key, or tampered."""
 

@@ -37,6 +37,7 @@ from .crypto import (
     VerifyingKey,
     encrypt_to,
     generate_keypair,
+    randomness,
     sha256,
     sign_canonical,
     verify_canonical,
@@ -236,10 +237,7 @@ def open_channel(
         pinned_digest=pinned_digest,
         pinned_code=pinned_code,
     )
-    if rng is None:
-        eph = X25519PrivateKey.generate()
-    else:
-        eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    eph = X25519PrivateKey.from_private_bytes(randomness(rng).randbytes(32))
     eph_pub = eph.public_key().public_bytes_raw()
     shared = eph.exchange(X25519PublicKey.from_public_bytes(adv.channel_key.enc_bytes))
     to_venue, to_holder = _derive_channel_keys(shared, eph_pub)
@@ -281,19 +279,12 @@ class VenueSession:
     def _window(self, now: float) -> int:
         return int(now // self.rotation_period)
 
-    def _draw(self) -> int:
-        if self.rng is not None:
-            return self.rng.getrandbits(32)
-        import secrets
-
-        return secrets.randbits(32)
-
     def current_code(self, now: float) -> str:
         """Code for the window containing `now`, minting it on first use
         and pruning everything older than the grace window."""
         window = self._window(now)
         if window not in self._codes:
-            self._codes[window] = render_code(self._draw())
+            self._codes[window] = render_code(randomness(self.rng).getrandbits(32))
         for stale in [w for w in self._codes if w < window - 1 or w > window]:
             del self._codes[stale]
         return self._codes[window]
@@ -395,3 +386,26 @@ def receive_challenge(channel: _Endpoint, handle: KeyHandle, frame: bytes) -> st
         raise CanonicalError("malformed challenge code")
     channel.state = SessionState.CHALLENGE_SENT
     return code
+
+
+def gate_round_trip(session: VenueSession, status: Status, holder_key: KeyHandle,
+                    now: float, delay: float, *, issuer_key: VerifyingKey, rng=None):
+    """One contactless admission with every role in process: the holder
+    opens an issuer-signed channel to the door of ``session``, submits
+    ``status``, and shows the code it unboxes ``delay`` seconds later.
+    Returns (reason, code): ("ok", code) when the door admits, the door's
+    refusal reason with None, or ("stale-code", code) when the guard
+    refuses the code."""
+    venue = session.identity
+    channel, hello = open_channel(
+        venue.advertisement, TrustMode.ISSUER_SIGNED, issuer_key=issuer_key, rng=rng,
+    )
+    venue_end = accept_channel(venue, hello)
+    frame = submit_status(channel, status)
+    decision, response = session.process_status(venue_end, frame, now)
+    if not decision.accepted:
+        return decision.reason, None
+    code = receive_challenge(channel, holder_key, response)
+    if not session.guard_check(code, now + delay):
+        return "stale-code", code
+    return "ok", code

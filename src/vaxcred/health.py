@@ -16,14 +16,14 @@ bytes carry nothing about the holder.
 from __future__ import annotations
 
 import json
-import secrets
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
 from .config import FIELD_MODULUS, MAX_REPORTS, SYMPTOM_BOUND, SYMPTOM_DIM
 from .credentials import DoseInfo
+from .crypto import randomness
 from .errors import (
     CanonicalError,
     CountMismatchError,
@@ -35,6 +35,7 @@ from .errors import (
     UnknownCouponError,
     WrongStateError,
 )
+from .wallet import write_atomic
 
 ALERT_SCOPES = ("product", "lot", "site", "condition")
 
@@ -96,9 +97,7 @@ class ReportStore:
         self.records.append(record)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        write_atomic(path, _json_lines(self.records))
 
     @classmethod
     def load(cls, path, dim: int = SYMPTOM_DIM) -> "ReportStore":
@@ -154,7 +153,7 @@ def split_shares(
         raise ModulusTooSmallError(
             f"modulus {p} cannot hold {n_max} reports of bound {vector.bound}"
         )
-    draw = rng.randrange if rng is not None else secrets.randbelow
+    draw = randomness(rng).randrange
     share_a = []
     share_b = []
     for v in vector.counts:
@@ -247,7 +246,7 @@ def laplace_sample(scale: float, rng=None) -> float:
     """Difference of two exponentials — a Laplace(0, scale) draw with no
     boundary special cases. Without an injected rng it draws from the OS
     generator, so published noise cannot be predicted from earlier draws."""
-    r = rng if rng is not None else secrets.SystemRandom()
+    r = randomness(rng)
     return scale * (r.expovariate(1.0) - r.expovariate(1.0))
 
 
@@ -317,16 +316,14 @@ def publish_alert_feed(day: str, entries) -> AlertFeed:
 
 
 def save_feed(feed: AlertFeed, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in feed.entries:
-            fh.write(
-                json.dumps(
-                    {"day": feed.day, "key": e.key, "message": e.message,
-                     "scope": e.scope},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_atomic(path, _json_lines(
+        {"day": feed.day, "key": e.key, "message": e.message, "scope": e.scope}
+        for e in feed.entries
+    ))
+
+
+def _json_lines(records) -> bytes:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
 
 
 def load_feed(path, day: Optional[str] = None) -> AlertFeed:

@@ -3,11 +3,10 @@
 Base-32 keeps the body in the QR alphanumeric character set and makes
 scanning case-insensitive; the prefix names the payload type so a badge
 can never be fed to a coupon reader. Decoding is strict (exact alphabet,
-bit-exact round trip) and, when the relevant issuer key is supplied,
-re-verifies the embedded signature before returning the object. Each
-payload has one text, apart from case and surrounding whitespace: a body
-whose last character carries non-zero unused bits is refused (RFC 4648
-section 3.5).
+bit-exact round trip) and checks no signature: every caller verifies the
+decoded object. Each payload has one text, apart from case and
+surrounding whitespace: a body whose last character carries non-zero
+unused bits is refused (RFC 4648 section 3.5).
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from typing import Optional
 
 from .coupons import Coupon
 from .credentials import Badge, Passkey, Status
-from .crypto import SignedEnvelope, VerifyingKey
-from .errors import (
-    DecodeError,
-    LengthExceededError,
-    SignatureInvalidError,
-    UnknownPrefixError,
-)
+from .errors import DecodeError, LengthExceededError, UnknownPrefixError
 from .merkle import DisclosureProof
 
 MAX_QR_CHARS = 2048
@@ -75,19 +68,19 @@ def encode_qr(payload) -> str:
     return text
 
 
-def decode_qr(
-    text: str,
-    expect: Optional[type] = None,
-    *,
-    coupon_key: Optional[VerifyingKey] = None,
-    credential_key: Optional[VerifyingKey] = None,
-):
-    """Parse QR text back into its object.
+def _decode_body(cls, what: str, body: str):
+    """``cls`` from a base-32 body; every malformation is a DecodeError."""
+    try:
+        return cls.from_bytes(_unb32(body))
+    except DecodeError:
+        raise
+    except Exception as exc:
+        raise DecodeError(f"malformed {what} payload: {exc}") from exc
 
-    `expect` pins the payload type (a scanner for coupons refuses badge
-    codes). Passing the issuing keys makes decode re-verify signatures:
-    `coupon_key` for coupons, `credential_key` for badges and statuses.
-    """
+
+def decode_qr(text: str, expect: Optional[type] = None):
+    """Parse QR text back into its object. `expect` pins the payload type
+    (a scanner for coupons refuses badge codes)."""
     if not isinstance(text, str):
         raise DecodeError("QR payload must be text")
     if len(text) > MAX_QR_CHARS:
@@ -101,16 +94,7 @@ def decode_qr(
         raise UnknownPrefixError(
             f"expected {_PREFIX_OF.get(expect, '?')} payload, got {prefix}"
         )
-    try:
-        payload = cls.from_bytes(_unb32(body))
-    except DecodeError:
-        raise
-    except Exception as exc:
-        raise DecodeError(f"malformed {prefix} payload: {exc}") from exc
-    key = coupon_key if cls is Coupon else credential_key
-    if isinstance(payload, SignedEnvelope) and key is not None and not payload.verify(key):
-        raise SignatureInvalidError(f"{cls.__name__.lower()} signature does not verify")
-    return payload
+    return _decode_body(cls, prefix, body)
 
 
 def export_coupon_url(coupon: Coupon) -> str:
@@ -121,10 +105,10 @@ def export_coupon_url(coupon: Coupon) -> str:
     return url
 
 
-def import_coupon_url(url: str, coupon_key: Optional[VerifyingKey] = None) -> Coupon:
-    if not isinstance(url, str) or not url.lower().startswith(COUPON_URL_SCHEME):
+def import_coupon_url(url: str) -> Coupon:
+    """The coupon a link carries, under the limits and errors of decode_qr."""
+    if not isinstance(url, str) or url[: len(COUPON_URL_SCHEME)].lower() != COUPON_URL_SCHEME:
         raise UnknownPrefixError("not a coupon link")
-    coupon = Coupon.from_bytes(_unb32(url[len(COUPON_URL_SCHEME):]))
-    if coupon_key is not None and not coupon.verify(coupon_key):
-        raise SignatureInvalidError("coupon signature does not verify")
-    return coupon
+    if len(url) > MAX_URL_CHARS:
+        raise LengthExceededError(f"coupon URL of {len(url)} chars exceeds {MAX_URL_CHARS}")
+    return _decode_body(Coupon, "coupon link", url[len(COUPON_URL_SCHEME):])

@@ -26,15 +26,7 @@ from .coupons import (
 from .credentials import DoseInfo, VaccinationLevel
 from .crypto import generate_keypair
 from .errors import VaxError
-from .groupverify import (
-    TrustMode,
-    accept_channel,
-    make_venue,
-    open_channel,
-    receive_challenge,
-    submit_status,
-    venue_start,
-)
+from .groupverify import gate_round_trip, make_venue, venue_start
 from .health import (
     AggServer,
     ReportStore,
@@ -47,7 +39,7 @@ from .health import (
 )
 from .registry import Registry
 from .vaccination import BadgeIssuer, PharmacySession
-from .verification import Reject, Verdict, verify_presentation
+from .verification import Verdict, verify_presentation
 from .wallet import (
     DisclosureConsent,
     PresentationKind,
@@ -234,26 +226,13 @@ class _World:
             rotation_period=action.get("rotation", 60), rng=self.rng,
         )
         try:
-            channel, hello = open_channel(
-                venue.advertisement, TrustMode.ISSUER_SIGNED,
+            reason, _ = gate_round_trip(
+                session, wallet.status, wallet.key, at, action.get("delay", 5),
                 issuer_key=self.issuer_key, rng=self.rng,
             )
-            venue_end = accept_channel(venue, hello)
-            frame = submit_status(channel, wallet.status)
-            decision, response = session.process_status(venue_end, frame, at)
-            if decision.accepted:
-                code = receive_challenge(channel, wallet.key, response)
-                admitted = session.guard_check(code, at + action.get("delay", 5))
-            else:
-                admitted = False
-            self.log.append(
-                at, "venue", "group-verify", admitted, user=user,
-                reason=decision.reason,
-            )
         except VaxError as exc:
-            self.log.append(
-                at, "venue", "group-verify", False, user=user, reason=exc.code,
-            )
+            reason = exc.code
+        self.log.append(at, "venue", "group-verify", reason == "ok", user=user, reason=reason)
 
     def act_report(self, at, action):
         user = action["user"]

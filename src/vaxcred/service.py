@@ -14,7 +14,8 @@ re-send, surfaces as ServiceUnreachableError.
 The server closes a connection that sends no frame for _IDLE_TIMEOUT
 seconds and keeps at most _MAX_CONNECTIONS connections. At the cap, a new
 connection takes the place of the one idle longest, whose client re-sends
-on its next request; only when every connection is serving a request is
+the request it is on or its next one; a connection is idle from the moment
+its reply is ready. Only when every connection is serving a request is
 the new one closed before any frame is read. The server closes its live
 connections when it is closed.
 """
@@ -34,6 +35,7 @@ from .vaccination import BadgeIssuer, signing_request
 
 _MAX_FRAME = 1 << 20  # 1 MiB is far beyond any legitimate request
 _IDLE_TIMEOUT = 60.0  # seconds a server connection may wait for its next frame
+_CLIENT_TIMEOUT = 5.0  # seconds a client waits on a connect, a send or a reply
 # connections kept, each with its handler thread; a round number, not
 # sized from a measured count of pharmacy counters
 _MAX_CONNECTIONS = 32
@@ -77,14 +79,8 @@ def handle_request_bytes(issuer: BadgeIssuer, data: bytes) -> bytes:
         obj = canonical.decode(data)
         if not isinstance(obj, dict) or set(obj) != {"badge", "req", "status"}:
             raise CanonicalError("malformed signing request")
-        badge_info = BadgeInfo.parse(obj["badge"])
-        status_payload = StatusPayload.parse(obj["status"])
-        badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
-        request, digest = signing_request(badge_bytes, status_bytes)
-        if digest != obj["req"]:
-            raise CanonicalError("request digest mismatch")
-        sig_badge, sig_status = issuer._sign_request(
-            badge_info, status_payload, badge_bytes, status_bytes, request, digest
+        sig_badge, sig_status = issuer.sign_badge_request(
+            BadgeInfo.parse(obj["badge"]), StatusPayload.parse(obj["status"]), obj["req"]
         )
     except VaxError as exc:
         return canonical.encode({"error": exc.code, "ok": False})
@@ -169,9 +165,10 @@ class _Handler(socketserver.StreamRequestHandler):
                 if not server._begin(self.request):
                     return  # closed to make room; the client re-sends
                 try:
-                    _send_frame(self.request, handle_request_bytes(server.issuer, data))
+                    response = handle_request_bytes(server.issuer, data)
                 finally:
-                    server._end(self.request)
+                    server._end(self.request)  # idle before the reply leaves
+                _send_frame(self.request, response)
         except (OSError, CanonicalError):
             # the client went away, idled out or sent an oversized frame,
             # or the server is closing
@@ -190,10 +187,9 @@ class SigningClient:
     """Drop-in `signer` for PharmacySession that talks to a remote issuer
     over one kept connection; close() releases it."""
 
-    def __init__(self, host: str, port: int, timeout: float = 5.0):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.timeout = timeout
         self._sock = self._rfile = None
         self._lock = threading.Lock()  # one request at a time on the connection
 
@@ -220,7 +216,7 @@ class SigningClient:
         while True:
             try:
                 if self._sock is None:
-                    self._sock = socket.create_connection((self.host, self.port), self.timeout)
+                    self._sock = socket.create_connection((self.host, self.port), _CLIENT_TIMEOUT)
                     self._rfile = self._sock.makefile("rb")
                 _send_frame(self._sock, request)
                 return _recv_frame(self._rfile)

@@ -37,10 +37,9 @@ from .errors import (
     BadCouponError,
     BadSignatureError,
     CanonicalError,
-    DismantledError,
     MismatchError,
     ProductMismatchError,
-    UnknownCouponError,
+    VaxError,
     WrongStateError,
 )
 from .registry import Registry, Stage
@@ -58,20 +57,24 @@ class AdmitDecision:
     DISMANTLED = "dismantled"
 
 
+def _check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None:
+    """Raise the typed error that bars a first dose on ``coupon``:
+    BadCouponError, UnknownCouponError, DismantledError or AlreadyUsedError."""
+    if not verify_coupon(vk_issuer, coupon):
+        raise BadCouponError("coupon signature does not verify")
+    if registry.check(coupon.coupon_id).is_used:
+        raise AlreadyUsedError(coupon.coupon_id.hex())
+
+
 def pharmacy_admit(vk_issuer: VerifyingKey, registry: Registry, coupon) -> AdmitDecision:
-    """Total admission check for a first dose: never raises."""
+    """Total admission check for a first dose: never raises. The reason is
+    the error code, but a bad coupon reads "bad-signature"."""
     try:
-        if not verify_coupon(vk_issuer, coupon):
-            return AdmitDecision(False, AdmitDecision.BAD_SIGNATURE)
-        state = registry.check(coupon.coupon_id)
-    except UnknownCouponError:
-        return AdmitDecision(False, AdmitDecision.UNKNOWN)
-    except DismantledError:
-        return AdmitDecision(False, AdmitDecision.DISMANTLED)
-    except Exception:
+        _check_admission(vk_issuer, registry, coupon)
+    except BadCouponError:
         return AdmitDecision(False, AdmitDecision.BAD_SIGNATURE)
-    if state.is_used:
-        return AdmitDecision(False, AdmitDecision.ALREADY_USED)
+    except VaxError as exc:
+        return AdmitDecision(False, exc.code)
     return AdmitDecision(True, AdmitDecision.OK)
 
 
@@ -102,23 +105,18 @@ class BadgeIssuer:
     def verifying_key(self) -> VerifyingKey:
         return self._handle.verifying_key
 
-    def sign_badge_request(self, badge_info: BadgeInfo, status_payload: StatusPayload):
+    def sign_badge_request(self, badge_info: BadgeInfo, status_payload: StatusPayload,
+                           digest: Optional[bytes] = None):
         """Returns (badge signature, status signature) or raises a typed error.
 
+        ``digest`` is the one a signing frame carries; a request whose
+        derived digest differs is refused before anything is recorded.
         On any raise the registry is untouched (validation happens first,
         and the one registry call is itself atomic)."""
         badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
-        return self._sign_request(
-            badge_info, status_payload, badge_bytes, status_bytes,
-            *signing_request(badge_bytes, status_bytes),
-        )
-
-    def _sign_request(self, badge_info: BadgeInfo, status_payload: StatusPayload,
-                      badge_bytes: bytes, status_bytes: bytes,
-                      request: bytes, digest: bytes):
-        """sign_badge_request for a caller that already holds the bodies'
-        bytes and their signing_request (request, digest), as the signing
-        server does after checking a frame's digest."""
+        request, derived = signing_request(badge_bytes, status_bytes)
+        if digest is not None and digest != derived:
+            raise CanonicalError("request digest mismatch")
         self.received_requests.append(request)
 
         if not verify_coupon(self.verifying_key, badge_info.coupon):
@@ -131,7 +129,7 @@ class BadgeIssuer:
             badge_info.coupon.coupon_id,
             len(badge_info.dose_history),
             date=badge_info.dose_history[-1].date,
-            request_digest=digest,
+            request_digest=derived,
         )
         return self._handle.sign(badge_bytes), self._handle.sign(status_bytes)
 
@@ -158,15 +156,7 @@ class PharmacySession:
     def _admit_first(self, coupon: Coupon, dose: DoseInfo) -> None:
         """Admission, dose number and date checks of a first dose; they
         run before anything is drawn from the rng."""
-        decision = pharmacy_admit(self.vk_issuer, self.registry, coupon)
-        if not decision.admitted:
-            if decision.reason == AdmitDecision.ALREADY_USED:
-                raise AlreadyUsedError(coupon.coupon_id.hex())
-            if decision.reason == AdmitDecision.UNKNOWN:
-                raise UnknownCouponError(coupon.coupon_id.hex())
-            if decision.reason == AdmitDecision.DISMANTLED:
-                raise DismantledError("registry has been dismantled")
-            raise BadCouponError("coupon signature does not verify")
+        _check_admission(self.vk_issuer, self.registry, coupon)
         if dose.dose_number != 1:
             raise WrongStateError("first visit must record dose number 1")
         self._check_date(dose)

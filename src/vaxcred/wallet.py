@@ -18,16 +18,14 @@ import datetime as _dt
 import enum
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
 from .credentials import (
-    AppBinding,
     Badge,
     Commitment,
     Passkey,
-    PasskeyHash,
     Status,
     TreeRoot,
     parse_date,
@@ -281,8 +279,8 @@ def save_wallet(state: WalletState, path, passphrase: str) -> None:
 def write_atomic(path, data: bytes) -> None:
     """Replace the file at ``path`` so that a failed write leaves the old
     one whole: write a temporary file in the same directory, fsync it,
-    then rename it over ``path``. Wallets and distributor state have no
-    other copy."""
+    then rename it over ``path``. Wallets, distributor state, report
+    stores and alert feeds have no other copy."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:

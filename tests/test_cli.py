@@ -319,7 +319,7 @@ def test_venue_gate_demo(capsys, env):
     code, out, _ = run(capsys, "venue", "gate", "--wallet", str(wallet),
                        "--required-level", "1", "--seed", "7",
                        "--rotation", "60", "--delay", "120")
-    assert code == 2 and "reject" in out
+    assert code == 2 and out == "reject: stale-code\n"
 
 
 def test_health_pipeline_via_files(capsys, env):

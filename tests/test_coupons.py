@@ -11,7 +11,6 @@ from vaxcred.coupons import (
     DistributorBatch,
     EligibilityRecord,
     coupon_id,
-    distribute,
     issue_coupon_batch,
     verify_coupon,
 )
@@ -147,9 +146,3 @@ def test_batch_rejects_duplicates_and_mixed(issuer):
     other = issue_coupon_batch(issuer, 1, "94110", "transit")
     with pytest.raises(VaxError):
         DistributorBatch(coupons=[coupons[0], other[0]])
-
-
-def test_distribute_helper(issuer):
-    batch = DistributorBatch(coupons=issue_coupon_batch(issuer, 1, "02139", "healthcare"))
-    coupon = distribute(batch, _record())
-    assert coupon.payload.index == 0

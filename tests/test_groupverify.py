@@ -1,6 +1,8 @@
 """Contactless admission: venue trust modes, the encrypted channel, the
 anti-relay property, and rotating-code windows."""
 
+import random
+
 import pytest
 
 from vaxcred.coupons import issue_coupon_batch
@@ -17,6 +19,7 @@ from vaxcred.groupverify import (
     VenueAdvertisement,
     accept_channel,
     check_advertisement,
+    gate_round_trip,
     key_short_code,
     make_venue,
     open_channel,
@@ -157,6 +160,27 @@ def test_codes_rotate_and_grace_window(issuer, issuer_key, registry, rng,
     assert gate.guard_check(code, 1000.0)  # same window
     assert gate.guard_check(code, 1000.0 + ROTATION)  # previous window: grace
     assert not gate.guard_check(code, 1000.0 + 2 * ROTATION)  # stale replay
+
+
+def test_gate_round_trip_draws_as_the_steps_do(issuer, issuer_key, registry, rng,
+                                                venue):
+    """gate_round_trip draws from the rng in the order of the hand-written
+    steps, and names a code the guard refuses "stale-code"."""
+    wallet = _vaccinated_wallet(issuer, issuer_key, registry, rng)
+    by_steps, by_helper = random.Random(5), random.Random(5)
+    door = venue_start(venue, [issuer_key], rotation_period=ROTATION, rng=by_steps)
+    channel, decision, response = _run_admission(venue, door, wallet, issuer_key, by_steps)
+    code = receive_challenge(channel, wallet.key, response)
+    door = venue_start(venue, [issuer_key], rotation_period=ROTATION, rng=by_helper)
+    assert gate_round_trip(door, wallet.status, wallet.key, 1000.0, 5,
+                           issuer_key=issuer_key, rng=by_helper) == ("ok", code)
+    assert by_helper.getstate() == by_steps.getstate()
+
+    assert gate_round_trip(door, wallet.status, wallet.key, 1000.0, 3 * ROTATION,
+                           issuer_key=issuer_key, rng=rng)[0] == "stale-code"
+    half = _vaccinated_wallet(issuer, issuer_key, registry, rng, doses=1, start_index=1)
+    assert gate_round_trip(door, half.status, half.key, 1000.0, 5,
+                           issuer_key=issuer_key, rng=rng) == ("below-policy", None)
 
 
 def test_codes_differ_across_windows(gate):

@@ -427,6 +427,35 @@ def test_feed_save_load_round_trip(tmp_path):
     assert again == feed
 
 
+def test_failed_saves_leave_the_old_files_whole(tmp_path, monkeypatch):
+    """The report store and the alert feed replace their file in one step,
+    so a save that fails on its second record keeps every earlier one."""
+    store = ReportStore(dim=2)
+    for day in ("2021-03-01", "2021-03-02", "2021-03-03"):
+        assert upload_report(Registry(), store, SymptomReport(SymptomVector((1, 2)), day))
+    feed = _feed()
+    saves = {tmp_path / "reports.jsonl": store.save,
+             tmp_path / "alerts.jsonl": lambda path: save_feed(feed, path)}
+    for path, save in saves.items():
+        save(path)
+        before = path.read_bytes()
+        dumps, calls = json.dumps, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return dumps(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(json, "dumps", second_fails)
+            with pytest.raises(OSError):
+                save(path)
+        assert path.read_bytes() == before
+    assert ReportStore.load(tmp_path / "reports.jsonl", dim=2).records == store.records
+    assert load_feed(tmp_path / "alerts.jsonl") == feed
+
+
 def test_feed_request_carries_only_the_day():
     a = feed_request_bytes("2021-03-05")
     b = feed_request_bytes("2021-03-05")

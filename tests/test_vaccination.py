@@ -94,6 +94,32 @@ def test_admit_never_raises(issuer_key, registry):
     assert not pharmacy_admit(issuer_key, registry, None).admitted
 
 
+@pytest.mark.parametrize("case", ["forged", "unknown", "used", "dismantled"])
+def test_admission_and_first_dose_refuse_alike(case, issuer, issuer_key, registry,
+                                               coupon, session):
+    """pharmacy_admit's reason is the code of the error a first dose
+    raises on the same coupon, but a bad coupon reads "bad-signature"."""
+    if case == "forged":
+        coupon = Coupon(payload=CouponPayload(index=9, zip_code="02139",
+                                              job_type="healthcare"),
+                        signature=coupon.signature)
+    elif case == "unknown":
+        coupon = issue_coupon_batch(issuer, 1, "02139", "healthcare", start_index=50)[0]
+    elif case == "used":
+        session.issue_credentials_paper(coupon, _dose(), PII)
+    else:
+        registry.dismantle(administrative=True)
+    decision = pharmacy_admit(issuer_key, registry, coupon)
+    with pytest.raises(VaxError) as raised:
+        session.issue_credentials_paper(coupon, _dose(), PII)
+    assert not decision.admitted
+    if case == "forged":
+        assert decision.reason == AdmitDecision.BAD_SIGNATURE
+        assert isinstance(raised.value, BadCouponError)
+    else:
+        assert decision.reason == raised.value.code
+
+
 def test_paper_issue_round(issuer_key, registry, coupon, session):
     badge, status, passkey = session.issue_credentials_paper(coupon, _dose(), PII)
     parsed = verify_badge(issuer_key, badge)
@@ -295,7 +321,7 @@ def test_identical_retry_returns_identical_credentials(issuer, issuer_key,
 def test_offline_signer_leaves_registry_untouched(issuer_key, registry, coupon, rng):
     session = PharmacySession(
         vk_issuer=issuer_key, registry=registry,
-        signer=SigningClient("127.0.0.1", 1, timeout=0.3), rng=rng,
+        signer=SigningClient("127.0.0.1", 1), rng=rng,
     )
     with pytest.raises(ServiceUnreachableError):
         session.issue_credentials_paper(coupon, _dose(), PII)
