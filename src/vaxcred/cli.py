@@ -142,10 +142,17 @@ def _signer(args, registry: Registry):
 
 
 def cmd_issuer_keygen(args) -> int:
+    """Create a new root key; an existing key file is refused, never
+    replaced, as everything signed under it would stop verifying."""
     handle, vk = generate_keypair()
     path = _key_path(args)
-    with open(path, "wb") as fh:
-        fh.write(handle.seal(_passphrase(args)))
+    blob = handle.seal(_passphrase(args))
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except FileExistsError:
+        raise ConfigError(f"{path} exists: refusing to replace an issuer key") from None
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(blob)
     with open(path + ".pub", "w", encoding="utf-8") as fh:
         fh.write(vk.hex() + "\n")
     print(f"key written to {path} (public half: {path}.pub)")
@@ -447,11 +454,7 @@ def cmd_health_report(args) -> int:
         if os.path.exists(args.store)
         else ReportStore(dim=vector.dim)
     )
-    report = SymptomReport(
-        vector=vector,
-        timestamp=_today(args),
-        coupon_id=None if coupon is None else coupon.coupon_id,
-    )
+    report = SymptomReport(vector=vector, timestamp=_today(args), coupon=coupon)
     with Registry(_registry_path(args)) as registry:
         accepted = upload_report(registry, store, report)
     if accepted:

@@ -12,7 +12,15 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .crypto import KeyHandle, SignedBody, SignedEnvelope, VerifyingKey, sha256
+from .crypto import (
+    TAG_COUPON_SIG,
+    KeyHandle,
+    SignedBody,
+    SignedEnvelope,
+    VerifyingKey,
+    sha256,
+    tagged_hash,
+)
 from .errors import (
     BatchExhaustedError,
     CanonicalError,
@@ -53,7 +61,7 @@ class CouponPayload(SignedBody):
         return cls(index=obj["index"], zip_code=obj["zip"], job_type=obj["job"])
 
 
-@dataclass(frozen=True)  # not slotted: coupon_id is cached in the instance dict
+@dataclass(frozen=True)  # not slotted: the ids are cached in the instance dict
 class Coupon(SignedEnvelope):
     BODY_TYPE = CouponPayload
 
@@ -63,6 +71,13 @@ class Coupon(SignedEnvelope):
     @cached_property
     def coupon_id(self) -> bytes:
         return coupon_id(self.payload)
+
+    @cached_property
+    def sig_digest(self) -> bytes:
+        """What a registry records of the signature, which is the bearer
+        secret and is never stored. Signing is deterministic, so the id
+        and this digest together name the one coupon the issuer signed."""
+        return tagged_hash(TAG_COUPON_SIG, self.signature)
 
 
 def coupon_id(payload: CouponPayload) -> bytes:
@@ -82,8 +97,10 @@ def issue_coupon_batch(
 ) -> list:
     """Sign `n` coupons with indices start_index..start_index+n-1.
 
-    When a registry is supplied every fresh coupon id is pre-seeded as
-    unused, so redemption can distinguish "unknown" from "unused".
+    When a registry is supplied every coupon is registered as unused,
+    with its signature digest, so redemption can distinguish "unknown"
+    from "unused" and admit a registered coupon without a verify. A
+    coupon the registry already knows refuses the whole batch.
     """
     if n < 1:
         raise CanonicalError("batch size must be >= 1")
@@ -94,7 +111,7 @@ def issue_coupon_batch(
         for i in range(start_index, start_index + n)
     ]
     if registry is not None:
-        registry.register_many(c.coupon_id for c in coupons)
+        registry.register_many((c.coupon_id, c.sig_digest) for c in coupons)
     return coupons
 
 

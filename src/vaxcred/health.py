@@ -1,7 +1,10 @@
 """Post-vaccination outcome reporting, private aggregation, alert feeds.
 
 Symptom vectors are uploaded either bound to a redeemed coupon (verified
-but pseudonymous — the coupon id sticks to the report) or anonymously.
+but pseudonymous — the coupon id sticks to the report) or anonymously. A
+bound report comes with the coupon itself, which the registry must hold
+exactly, so knowing a redeemed coupon's payload is not enough to report
+under it.
 For aggregate statistics, each client splits its vector into two additive
 shares mod a prime; each server only ever holds one share per client and
 keeps nothing but a running sum and a count. Recombining the two running
@@ -22,17 +25,16 @@ from typing import Optional
 
 from . import canonical
 from .config import FIELD_MODULUS, MAX_REPORTS, SYMPTOM_BOUND, SYMPTOM_DIM
+from .coupons import Coupon
 from .credentials import DoseInfo
 from .crypto import randomness
 from .errors import (
     CanonicalError,
     CountMismatchError,
-    DismantledError,
     ModulusTooSmallError,
     NoiseParameterError,
     RangeViolationError,
     ShareLengthError,
-    UnknownCouponError,
     WrongStateError,
 )
 from .wallet import write_atomic
@@ -64,14 +66,12 @@ class SymptomVector:
 class SymptomReport:
     vector: SymptomVector
     timestamp: str
-    coupon_id: Optional[bytes] = None  # None = anonymous path
+    coupon: Optional[Coupon] = None  # None = anonymous path
     dose_ref: Optional[tuple] = None  # (product, lot, site_id)
 
     def __post_init__(self):
-        if self.coupon_id is not None and (
-            not isinstance(self.coupon_id, bytes) or len(self.coupon_id) != 32
-        ):
-            raise CanonicalError("coupon id must be 32 bytes")
+        if self.coupon is not None and not isinstance(self.coupon, Coupon):
+            raise CanonicalError("a bound report carries its coupon")
         if self.dose_ref is not None and len(self.dose_ref) != 3:
             raise CanonicalError("dose_ref must be (product, lot, site)")
 
@@ -89,8 +89,8 @@ class ReportStore:
             "timestamp": report.timestamp,
             "vector": list(report.vector.counts),
         }
-        if report.coupon_id is not None:
-            record["coupon_id"] = report.coupon_id.hex()
+        if report.coupon is not None:
+            record["coupon_id"] = report.coupon.coupon_id.hex()
         if report.dose_ref is not None:
             product, lot, site = report.dose_ref
             record["dose_ref"] = {"lot": lot, "product": product, "site": site}
@@ -112,18 +112,15 @@ class ReportStore:
 
 def upload_report(registry, store: ReportStore, report: SymptomReport) -> bool:
     """Accept anonymous reports outright; coupon-bound ones only when the
-    coupon has actually been redeemed. Returns the decision, never raises."""
+    registry holds that exact coupon (so an entry replayed from a log with
+    no signature digests binds none) and it has been redeemed. Returns the
+    decision, never raises."""
     if report.vector.dim != store.dim:
         return False
-    if report.coupon_id is None:
-        store.append(report)
-        return True
-    try:
-        state = registry.check(report.coupon_id)
-    except (UnknownCouponError, DismantledError):
-        return False
-    if not state.is_used:
-        return False
+    if report.coupon is not None:
+        state = registry.match(report.coupon.coupon_id, report.coupon.sig_digest)
+        if state is None or not state.is_used:
+            return False
     store.append(report)
     return True
 

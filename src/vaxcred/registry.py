@@ -7,10 +7,14 @@ replaying the log reproduces the in-memory state. A record counts once its
 newline is on disk: opening the log cuts a torn final line left by a crash
 mid-append, so the next append starts on a line of its own.
 
+A coupon is registered with a digest of its signature; signing is
+deterministic, so a coupon matching id and digest is the one the issuer
+signed. An entry from a log that predates digests matches nothing.
+
 Retries are recognized by request digest: a transition replayed with the
 digest already on file is a no-op success instead of a double-use error.
-Dismantling erases all state, truncates the log to a single marker, and
-leaves the registry refusing further work.
+Dismantling erases all state, atomically replaces the log with a single
+marker, and leaves the registry refusing further work.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import fcntl
+import hmac
 import json
 import os
 import threading
@@ -31,6 +36,7 @@ from .errors import (
     InvalidTransitionError,
     UnknownCouponError,
 )
+from .wallet import write_atomic
 
 
 class Stage(enum.Enum):
@@ -50,12 +56,14 @@ class CouponState:
 
 
 class _Entry:
-    """One coupon's stage, latest dose date and the request digest of each
-    dose taken; kept small, as a registry holds one per coupon issued."""
+    """One coupon's signature digest (None from an old log), stage, latest
+    dose date and the request digest of each dose taken; kept small, as a
+    registry holds one per coupon issued."""
 
-    __slots__ = ("stage", "date", "req1", "req2")
+    __slots__ = ("sig", "stage", "date", "req1", "req2")
 
-    def __init__(self):
+    def __init__(self, sig: Optional[bytes]):
+        self.sig = sig
         self.stage = Stage.UNUSED
         self.date = None
         self.req1 = None
@@ -144,11 +152,12 @@ class Registry:
             return
         cid = bytes.fromhex(record["cid"])
         if op == "register":
-            self._entries.setdefault(cid, _Entry())
+            sig = record.get("sig_digest")
+            self._entries.setdefault(cid, _Entry(bytes.fromhex(sig) if sig else None))
             return
         if op in ("dose1", "dose2"):
             req = record.get("req")
-            self._entries.setdefault(cid, _Entry()).move(
+            self._entries.setdefault(cid, _Entry(None)).move(
                 Stage(op), record.get("date"), bytes.fromhex(req) if req else None
             )
             return
@@ -166,6 +175,17 @@ class Registry:
             entry = self._entries.get(coupon_id)
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
+            return CouponState(entry.stage, entry.date)
+
+    def match(self, coupon_id: bytes, digest: bytes) -> Optional[CouponState]:
+        """The state of the coupon registered with this id and signature
+        digest; None for any other, for an entry without a digest, and on a
+        dismantled registry (which holds no entries), so a caller can fall
+        back to a signature check that decides the error. Never raises."""
+        with self._lock:
+            entry = self._entries.get(coupon_id)
+            if entry is None or entry.sig is None or not hmac.compare_digest(entry.sig, digest):
+                return None
             return CouponState(entry.stage, entry.date)
 
     def known(self, coupon_id: bytes) -> bool:
@@ -188,25 +208,31 @@ class Registry:
 
     # -- transitions -----------------------------------------------------
 
-    def register(self, coupon_id: bytes) -> None:
-        self.register_many([coupon_id])
+    def register(self, coupon_id: bytes, sig_digest: bytes) -> None:
+        self.register_many([(coupon_id, sig_digest)])
 
-    def register_many(self, coupon_ids) -> None:
-        """Register every id not yet known as unused, with one log write and
-        one fsync for all of them. A known coupon is never downgraded."""
-        coupon_ids = list(coupon_ids)
-        for coupon_id in coupon_ids:
+    def register_many(self, coupons) -> None:
+        """Register (coupon id, signature digest) pairs as unused, with one
+        log write and one fsync for all of them. An id already known, or
+        given twice, refuses the whole batch before anything is written:
+        re-issuing a coupon would hand out one that may be spent."""
+        coupons = list(coupons)
+        for coupon_id, sig_digest in coupons:
             if not isinstance(coupon_id, bytes) or len(coupon_id) != 32:
                 raise CanonicalError("coupon id must be 32 bytes")
+            if not isinstance(sig_digest, bytes) or len(sig_digest) != 32:
+                raise CanonicalError("signature digest must be 32 bytes")
+        ids = [coupon_id for coupon_id, _ in coupons]
         with self._lock:
             self._guard()
-            fresh = [c for c in dict.fromkeys(coupon_ids) if c not in self._entries]
-            for coupon_id in fresh:
-                self._entries[coupon_id] = _Entry()
-            if fresh:
-                self._append(
-                    [{"cid": c.hex(), "op": "register", "date": None} for c in fresh]
-                )
+            if len(set(ids)) != len(ids) or not self._entries.keys().isdisjoint(ids):
+                raise InvalidTransitionError("batch names a coupon already registered")
+            for coupon_id, sig_digest in coupons:
+                self._entries[coupon_id] = _Entry(sig_digest)
+            self._append(
+                [{"cid": c.hex(), "date": None, "op": "register", "sig_digest": d.hex()}
+                 for c, d in coupons]
+            )
 
     def mark_used(
         self,
@@ -248,28 +274,23 @@ class Registry:
             return True
 
     def dismantle(self, *, administrative: bool = False) -> None:
-        """Erase every entry and truncate the log to a single marker line.
-        Requires the administrative flag; repeat calls are no-ops."""
+        """Erase every entry and replace the log with a single marker line,
+        renamed over it once fsynced: a crash leaves the log or the marker,
+        never an empty log that reopens live. Requires the administrative
+        flag; repeat calls are no-ops."""
         if not administrative:
             raise InvalidTransitionError("dismantle requires the administrative flag")
         with self._lock:
             if self._dismantled:
                 return
+            if self._log_fh is not None:
+                marker = {"op": "dismantle", "seq": self._seq + 1}
+                write_atomic(self._log_path, (json.dumps(marker, sort_keys=True) + "\n").encode())
+                self._log_fh.close()
+                self._log_fh = open(self._log_path, "a", encoding="utf-8")
+            self._seq += 1
             self._entries.clear()
             self._dismantled = True
-            self._seq += 1
-            if self._log_fh is not None:
-                self._log_fh.close()
-                with open(self._log_path, "w", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {"op": "dismantle", "seq": self._seq}, sort_keys=True
-                        )
-                        + "\n"
-                    )
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                self._log_fh = open(self._log_path, "a", encoding="utf-8")
 
     def close(self) -> None:
         with self._lock:

@@ -240,14 +240,10 @@ class _World:
         dim = action.get("dim", 8)
         counts = tuple(self.rng.randrange(0, 4) for _ in range(dim))
         vector = SymptomVector(counts)
-        coupon_id = None
-        if not action.get("anonymous", False) and wallet.coupon is not None:
-            coupon_id = wallet.coupon.coupon_id
+        coupon = None if action.get("anonymous", False) else wallet.coupon
         if self.store is None:
             self.store = ReportStore(dim=dim)
-        report = SymptomReport(
-            vector=vector, timestamp=_date_at(at), coupon_id=coupon_id,
-        )
+        report = SymptomReport(vector=vector, timestamp=_date_at(at), coupon=coupon)
         accepted = upload_report(self.registry, self.store, report)
         if accepted:
             if self.servers is None:
@@ -258,7 +254,7 @@ class _World:
             self.servers[1].accumulate(bundle.share_b)
             self._plain_sum = [a + b for a, b in zip(self._plain_sum, counts)]
         self.log.append(
-            at, user, "report", accepted, anonymous=coupon_id is None,
+            at, user, "report", accepted, anonymous=coupon is None,
         )
 
     def act_aggregate(self, at, action):

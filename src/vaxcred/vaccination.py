@@ -1,11 +1,18 @@
 """Pharmacy-side vaccination flow and the issuer's signing endpoint.
 
-A pharmacy admits a patient by checking the coupon signature and its
-one-use state, administers the dose, and asks the badge issuer to sign a
-(badge, status) pair. The issuer validates the request, advances the
-coupon registry, and signs — atomically: the registry transition and the
-signatures land together, and an identical retry (after a crash or a lost
-response) returns the same signatures without a second transition.
+A pharmacy admits a patient by checking the coupon and its one-use state,
+administers the dose, and asks the badge issuer to sign a (badge, status)
+pair. The issuer validates the request, advances the coupon registry, and
+signs — atomically: the registry transition and the signatures land
+together, and an identical retry (after a crash or a lost response)
+returns the same signatures without a second transition.
+
+Counter and issuer accept a coupon whose id and signature digest the
+registry holds without an Ed25519 verify, so genuineness rests on the
+registry log, already trusted for one use. Any other coupon is verified
+first, so a forgery is a bad coupon whatever the registry says of its id.
+A second dose's badge is always verified: the registry shows the issuer
+signed it, not that the presenter holds its signature.
 
 The pharmacy never forwards raw identity fields to the issuer; only the
 salted commitment or tree root leaves the counter.
@@ -42,7 +49,7 @@ from .errors import (
     VaxError,
     WrongStateError,
 )
-from .registry import Registry, Stage
+from .registry import CouponState, Registry, Stage
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,23 @@ class AdmitDecision:
     DISMANTLED = "dismantled"
 
 
+def _genuine_state(vk_issuer: VerifyingKey, registry: Registry, coupon) -> Optional[CouponState]:
+    """The state of a coupon the registry holds exactly. For any other,
+    None once it verifies under ``vk_issuer``, else BadCouponError."""
+    if isinstance(coupon, Coupon):
+        state = registry.match(coupon.coupon_id, coupon.sig_digest)
+        if state is not None:
+            return state
+    if not verify_coupon(vk_issuer, coupon):
+        raise BadCouponError("coupon signature does not verify")
+    return None
+
+
 def _check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None:
     """Raise the typed error that bars a first dose on ``coupon``:
     BadCouponError, UnknownCouponError, DismantledError or AlreadyUsedError."""
-    if not verify_coupon(vk_issuer, coupon):
-        raise BadCouponError("coupon signature does not verify")
-    if registry.check(coupon.coupon_id).is_used:
+    state = _genuine_state(vk_issuer, registry, coupon) or registry.check(coupon.coupon_id)
+    if state.is_used:
         raise AlreadyUsedError(coupon.coupon_id.hex())
 
 
@@ -119,8 +137,7 @@ class BadgeIssuer:
             raise CanonicalError("request digest mismatch")
         self.received_requests.append(request)
 
-        if not verify_coupon(self.verifying_key, badge_info.coupon):
-            raise BadCouponError("coupon signature does not verify")
+        _genuine_state(self.verifying_key, self._registry, badge_info.coupon)
         user_key = getattr(status_payload.binding, "user_key", None)
         if status_payload != status_for(badge_info, user_key):
             raise MismatchError("status does not match the badge")

@@ -1,13 +1,15 @@
 """The command-line surface, driven in-process through cli.main."""
 
 import json
+import os
+import stat
 
 import pytest
 
 from vaxcred import cli
 from vaxcred.coupons import Coupon
 from vaxcred.crypto import KeyHandle
-from vaxcred.qr import decode_qr
+from vaxcred.qr import decode_qr, encode_qr
 from vaxcred.registry import Registry, Stage
 from vaxcred.service import SigningClient, serve
 from vaxcred.vaccination import BadgeIssuer
@@ -46,6 +48,18 @@ def test_keygen_writes_both_halves(capsys, env):
     assert (env / "issuer.key").exists()
     pub = (env / "issuer.key.pub").read_text().strip()
     assert len(bytes.fromhex(pub)) == 64
+
+
+def test_keygen_refuses_an_existing_key(capsys, env):
+    """A second keygen on the same path would orphan everything signed
+    under the first key: it exits non-zero and writes nothing."""
+    assert run(capsys, "issuer", "keygen")[0] == 0
+    key, pub = env / "issuer.key", env / "issuer.key.pub"
+    assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
+    sealed, public = key.read_bytes(), pub.read_text()
+    code, _, err = run(capsys, "issuer", "keygen")
+    assert code != 0 and "exists" in err
+    assert key.read_bytes() == sealed and pub.read_text() == public
 
 
 def test_issue_batch_to_file_and_stdout(capsys, env):
@@ -369,6 +383,28 @@ def test_health_report_and_feed(capsys, env):
     code, out, _ = run(capsys, "health", "match", "--feed", str(feed),
                        "--lot", "L-77")
     assert code == 0 and "no alerts match" in out
+
+
+def test_health_report_needs_the_coupon_not_its_payload(capsys, env):
+    """A report bound to a redeemed coupon is accepted only from its
+    holder: the payload under junk signature bytes is refused, as the
+    counter refuses it."""
+    batch = _issue_batch(capsys, env, n=1)
+    _vaccinate_paper(capsys, env, batch[0])
+    junk = encode_qr(Coupon(payload=decode_qr(batch[0], Coupon).payload,
+                            signature=bytes(range(64))))
+    store = env / "reports.jsonl"
+    report = ("health", "report", "--vector", "1,0,2", "--store", str(store),
+              "--date", "2021-04-01", "--coupon")
+    code, out, _ = run(capsys, *report, junk)
+    assert code == 2 and "rejected" in out and not store.exists()
+    code, out, _ = run(capsys, "pharmacy", "admit", "--coupon", junk,
+                       "--issuer-pub", "@" + str(env / "issuer.key.pub"))
+    assert code == 2 and out.strip() == "reject: bad-signature"
+    code, out, _ = run(capsys, *report, batch[0])
+    assert code == 0 and "accepted" in out
+    record = json.loads(store.read_text())
+    assert record["coupon_id"] == decode_qr(batch[0], Coupon).coupon_id.hex()
 
 
 def test_sim_run_smoke(capsys, env):

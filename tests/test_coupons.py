@@ -16,6 +16,7 @@ from vaxcred.coupons import (
 )
 from vaxcred.errors import (
     BatchExhaustedError,
+    InvalidTransitionError,
     InvalidZipError,
     MismatchError,
     NotEligibleError,
@@ -83,6 +84,26 @@ def test_verify_rejects_tamper(issuer, issuer_key):
     flipped = Coupon(payload=coupon.payload,
                      signature=bytes([coupon.signature[0] ^ 1]) + coupon.signature[1:])
     assert not verify_coupon(issuer_key, flipped)
+
+
+def test_reissued_batch_is_refused(issuer, tmp_path):
+    """Signing is deterministic, so a batch over a range already issued
+    would hand out the same coupons, one of them spent: it is refused, and
+    the registry log is left as it was."""
+    from vaxcred.registry import Registry, Stage
+
+    path = tmp_path / "registry.log"
+    with Registry(path) as registry:
+        first = issue_coupon_batch(issuer, 3, "02139", "healthcare", registry=registry)
+        registry.mark_used(first[0].coupon_id, 1)
+        logged = path.read_bytes()
+        with pytest.raises(InvalidTransitionError):
+            issue_coupon_batch(issuer, 2, "02139", "healthcare", registry=registry,
+                               start_index=2)
+        assert path.read_bytes() == logged
+        assert not registry.known(issue_coupon_batch(issuer, 1, "02139", "healthcare",
+                                                     start_index=3)[0].coupon_id)
+        assert registry.check(first[0].coupon_id).stage is Stage.DOSE1
 
 
 def test_verify_rejects_wrong_key(issuer, rng):

@@ -14,7 +14,7 @@ from scipy import stats
 
 from vaxcred.canonical import decode as canonical_decode
 from vaxcred.canonical import encode as canonical_encode
-from vaxcred.coupons import issue_coupon_batch
+from vaxcred.coupons import Coupon, issue_coupon_batch
 from vaxcred.credentials import DoseInfo
 from vaxcred.errors import (
     CanonicalError,
@@ -320,7 +320,7 @@ def test_upload_paths(issuer, registry, rng):
     assert upload_report(registry, store, SymptomReport(vec, "2021-03-01"))
     assert upload_report(
         registry, store,
-        SymptomReport(vec, "2021-03-01", coupon_id=cid,
+        SymptomReport(vec, "2021-03-01", coupon=coupon,
                       dose_ref=("VX-ALPHA", "L-1", "S-01")),
     )
     # unredeemed coupon: registered but never marked used
@@ -328,11 +328,12 @@ def test_upload_paths(issuer, registry, rng):
                                registry=registry, start_index=50)[0]
     assert not upload_report(
         registry, store,
-        SymptomReport(vec, "2021-03-01", coupon_id=fresh.coupon_id),
+        SymptomReport(vec, "2021-03-01", coupon=fresh),
     )
-    # unknown coupon id
+    # unknown coupon: genuine, never registered
+    stray = issue_coupon_batch(issuer, 1, "02139", "education", start_index=77)[0]
     assert not upload_report(
-        registry, store, SymptomReport(vec, "2021-03-01", coupon_id=b"\x77" * 32)
+        registry, store, SymptomReport(vec, "2021-03-01", coupon=stray)
     )
     # wrong dimension
     assert not upload_report(
@@ -347,7 +348,7 @@ def test_anonymous_records_have_no_coupon_key(issuer, registry, rng, tmp_path):
     vec = SymptomVector((4, 4))
     upload_report(registry, store, SymptomReport(vec, "2021-03-02"))
     upload_report(registry, store,
-                  SymptomReport(vec, "2021-03-02", coupon_id=cid))
+                  SymptomReport(vec, "2021-03-02", coupon=coupon))
 
     anonymous, bound = store.records
     assert "coupon_id" not in anonymous  # absent key, not a blank value
@@ -361,10 +362,30 @@ def test_anonymous_records_have_no_coupon_key(issuer, registry, rng, tmp_path):
     assert reloaded.records == store.records
 
 
+def test_bound_report_needs_the_coupon_not_its_payload(issuer, registry, rng, tmp_path):
+    """Coupon ids hash guessable payloads: a redeemed coupon's payload
+    under any other signature binds no report, and neither does an entry
+    replayed from a log that recorded no signature digest."""
+    coupon, cid = _redeemed_coupon(issuer, registry, rng)
+    store = ReportStore(dim=1)
+    vec = SymptomVector((1,))
+    junk = Coupon(payload=coupon.payload, signature=bytes(range(64)))
+    assert junk.coupon_id == cid
+    assert not upload_report(registry, store, SymptomReport(vec, "2021-03-01", coupon=junk))
+    old_log = tmp_path / "old.log"
+    old_log.write_text(json.dumps({"cid": cid.hex(), "date": None, "op": "register",
+                                   "seq": 1}) + "\n")
+    with Registry(old_log) as old:
+        old.mark_used(cid, 1)
+        assert not upload_report(old, store, SymptomReport(vec, "2021-03-01", coupon=coupon))
+    assert upload_report(registry, store, SymptomReport(vec, "2021-03-01", coupon=coupon))
+    assert [r["coupon_id"] for r in store.records] == [cid.hex()]
+
+
 def test_report_shape_validation():
     vec = SymptomVector((1, 2))
     with pytest.raises(CanonicalError):
-        SymptomReport(vec, "2021-01-01", coupon_id=b"short")
+        SymptomReport(vec, "2021-01-01", coupon=b"\x77" * 32)  # an id, not the coupon
     with pytest.raises(CanonicalError):
         SymptomReport(vec, "2021-01-01", dose_ref=("VX", "L"))
 
@@ -374,7 +395,7 @@ def test_upload_rejected_after_dismantle(issuer, rng):
         coupon, cid = _redeemed_coupon(issuer, registry, rng)
         registry.dismantle(administrative=True)
         store = ReportStore(dim=1)
-        report = SymptomReport(SymptomVector((1,)), "2021-04-01", coupon_id=cid)
+        report = SymptomReport(SymptomVector((1,)), "2021-04-01", coupon=coupon)
         assert not upload_report(registry, store, report)
         # anonymous path needs no registry at all
         assert upload_report(registry, store,

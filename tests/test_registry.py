@@ -1,5 +1,7 @@
 """Registry: transition rules, durability, concurrency, idempotent retry."""
 
+import builtins
+import errno
 import fcntl
 import hashlib
 import json
@@ -22,12 +24,17 @@ def _cid(n: int) -> bytes:
     return hashlib.sha256(f"coupon-{n}".encode()).digest()
 
 
+def _coupon(n: int) -> tuple:
+    """(id, signature digest) of a stand-in coupon, as a batch registers it."""
+    return _cid(n), hashlib.sha256(f"signature-{n}".encode()).digest()
+
+
 def _digest(text: str) -> bytes:
     return hashlib.sha256(text.encode()).digest()
 
 
 def test_register_and_check(registry):
-    registry.register(_cid(1))
+    registry.register(*_coupon(1))
     assert registry.known(_cid(1))
     assert registry.check(_cid(1)).stage is Stage.UNUSED
     assert not registry.known(_cid(2))
@@ -35,15 +42,36 @@ def test_register_and_check(registry):
         registry.check(_cid(2))
 
 
-def test_register_idempotent(registry):
-    registry.register(_cid(1))
+def test_register_known_id_refused(registry):
+    """Re-registering a coupon, as a re-issued batch would, is an error
+    that leaves every coupon as it was, so a spent one is never handed
+    out as new; a batch naming one id twice is refused too."""
+    registry.register(*_coupon(1))
     registry.mark_used(_cid(1), 1, date="2021-01-05")
-    registry.register(_cid(1))  # re-register never downgrades
+    with pytest.raises(InvalidTransitionError):
+        registry.register(*_coupon(1))
+    with pytest.raises(InvalidTransitionError):
+        registry.register_many([_coupon(2), _coupon(1)])
+    with pytest.raises(InvalidTransitionError):
+        registry.register_many([_coupon(3), _coupon(3)])
     assert registry.check(_cid(1)).stage is Stage.DOSE1
+    assert not registry.known(_cid(2)) and not registry.known(_cid(3))
+
+
+def test_match_needs_id_and_signature_digest(registry):
+    cid, sig = _coupon(1)
+    registry.register(cid, sig)
+    assert registry.match(cid, sig) == CouponState(Stage.UNUSED)
+    registry.mark_used(cid, 1, date="2021-01-05")
+    assert registry.match(cid, sig) == CouponState(Stage.DOSE1, "2021-01-05")
+    assert registry.match(cid, _coupon(2)[1]) is None
+    assert registry.match(_cid(2), sig) is None
+    registry.dismantle(administrative=True)
+    assert registry.match(cid, sig) is None  # no raise: callers pick the error
 
 
 def test_happy_path_transitions(registry):
-    registry.register(_cid(1))
+    registry.register(*_coupon(1))
     assert registry.mark_used(_cid(1), 1, date="2021-01-05") is True
     assert registry.check(_cid(1)).stage is Stage.DOSE1
     assert registry.mark_used(_cid(1), 2, date="2021-01-26") is True
@@ -51,7 +79,7 @@ def test_happy_path_transitions(registry):
 
 
 def test_double_spend_rejected(registry):
-    registry.register(_cid(1))
+    registry.register(*_coupon(1))
     registry.mark_used(_cid(1), 1, request_digest=_digest("r1"))
     with pytest.raises(AlreadyUsedError):
         registry.mark_used(_cid(1), 1, request_digest=_digest("r2"))
@@ -61,7 +89,7 @@ def test_double_spend_rejected(registry):
 
 
 def test_dose2_requires_dose1(registry):
-    registry.register(_cid(1))
+    registry.register(*_coupon(1))
     with pytest.raises(InvalidTransitionError):
         registry.mark_used(_cid(1), 2)
     with pytest.raises(InvalidTransitionError):
@@ -69,7 +97,7 @@ def test_dose2_requires_dose1(registry):
 
 
 def test_idempotent_retry_same_request(registry):
-    registry.register(_cid(1))
+    registry.register(*_coupon(1))
     req = _digest("request-a")
     assert registry.mark_used(_cid(1), 1, request_digest=req) is True
     # the exact same request again: recognized, not a double spend
@@ -89,7 +117,7 @@ def test_concurrent_single_winner(registry):
     """8 distinct requests per coupon race; exactly one transition wins."""
     n_coupons, n_threads = 50, 8
     for i in range(n_coupons):
-        registry.register(_cid(i))
+        registry.register(*_coupon(i))
     wins = [0] * n_coupons
     lock = threading.Lock()
     barrier = threading.Barrier(n_threads)
@@ -116,7 +144,7 @@ def test_log_replay_equivalence(tmp_path):
     path = tmp_path / "reg.log"
     with Registry(path) as reg:
         for i in range(5):
-            reg.register(_cid(i))
+            reg.register(*_coupon(i))
         reg.mark_used(_cid(0), 1, date="2021-01-05", request_digest=_digest("a"))
         reg.mark_used(_cid(0), 2, date="2021-01-26", request_digest=_digest("b"))
         reg.mark_used(_cid(1), 1, date="2021-01-06")
@@ -133,8 +161,8 @@ def test_log_replay_equivalence(tmp_path):
 def test_torn_final_line_tolerated(tmp_path):
     path = tmp_path / "reg.log"
     with Registry(path) as reg:
-        reg.register(_cid(0))
-        reg.register(_cid(1))
+        reg.register(*_coupon(0))
+        reg.register(*_coupon(1))
         reg.mark_used(_cid(0), 1)
     raw = path.read_bytes()
     path.write_bytes(raw + b'{"cid": "dead', )  # torn write, no newline
@@ -148,8 +176,8 @@ def test_torn_tail_is_cut_before_the_next_append(tmp_path):
     reopen still reads it."""
     path = tmp_path / "reg.log"
     with Registry(path) as reg:
-        reg.register(_cid(0))
-        reg.register(_cid(1))
+        reg.register(*_coupon(0))
+        reg.register(*_coupon(1))
         reg.mark_used(_cid(0), 1)
     path.write_bytes(path.read_bytes() + b'{"cid": "dead')  # torn write, no newline
     with Registry(path) as again:
@@ -165,7 +193,7 @@ def test_replay_runs_without_the_file_lock(tmp_path, monkeypatch):
     so an append from another process does not wait for the replay."""
     path = tmp_path / "reg.log"
     with Registry(path) as reg:
-        reg.register_many([_cid(i) for i in range(3)])
+        reg.register_many([_coupon(i) for i in range(3)])
     path.write_bytes(path.read_bytes() + b'{"cid": "dead')  # torn write, no newline
     free = []
     apply = Registry._apply
@@ -189,30 +217,35 @@ def test_replay_runs_without_the_file_lock(tmp_path, monkeypatch):
 
 
 def test_register_many_writes_once(tmp_path, monkeypatch):
-    """A batch is one write and one fsync; ids already known, or repeated
-    in the batch, are left as they are and logged once."""
+    """A batch is one write and one fsync; a batch naming a known id, one
+    id twice or a malformed pair writes nothing."""
     path = tmp_path / "reg.log"
     fsyncs = []
     fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or fsync(fd))
     with Registry(path) as reg:
-        reg.register(_cid(0))
+        reg.register(*_coupon(0))
         reg.mark_used(_cid(0), 1, date="2021-01-05")
         del fsyncs[:]
-        reg.register_many([_cid(i) for i in range(50)] + [_cid(3)])
+        reg.register_many([_coupon(i) for i in range(1, 50)])
         assert len(fsyncs) == 1
-        reg.register_many([_cid(0), _cid(7)])  # nothing new: no write
+        with pytest.raises(InvalidTransitionError):
+            reg.register_many([_coupon(60), _coupon(0)])
+        with pytest.raises(InvalidTransitionError):
+            reg.register_many([_coupon(61), _coupon(61)])
         assert len(fsyncs) == 1
         assert reg.check(_cid(0)).stage is Stage.DOSE1
         assert len(reg) == 50
         before = reg.snapshot()
         with pytest.raises(CanonicalError):
-            reg.register_many([_cid(60), b"short"])
-        assert not reg.known(_cid(60))  # a bad id refuses the whole batch
+            reg.register_many([_coupon(60), (b"short", _coupon(60)[1])])
+        with pytest.raises(CanonicalError):
+            reg.register_many([(_cid(60), b"short")])
+        assert not reg.known(_cid(60))  # a bad pair refuses the whole batch
     lines = path.read_text().splitlines()
     assert len(lines) == 2 + 49
-    assert json.loads(lines[-1]) == {"cid": _cid(49).hex(), "date": None,
-                                     "op": "register", "seq": 51}
+    assert json.loads(lines[-1]) == {"cid": _cid(49).hex(), "date": None, "op": "register",
+                                     "sig_digest": _coupon(49)[1].hex(), "seq": 51}
     with Registry(path) as again:
         assert again.snapshot() == before
 
@@ -220,7 +253,7 @@ def test_register_many_writes_once(tmp_path, monkeypatch):
 def test_corrupt_middle_line_rejected(tmp_path):
     path = tmp_path / "reg.log"
     with Registry(path) as reg:
-        reg.register(_cid(0))
+        reg.register(*_coupon(0))
         reg.mark_used(_cid(0), 1)
     lines = path.read_bytes().splitlines(keepends=True)
     lines[0] = b'{"cid": "feedface"}\n'
@@ -233,7 +266,7 @@ def test_dismantle(tmp_path):
     path = tmp_path / "reg.log"
     reg = Registry(path)
     for i in range(3):
-        reg.register(_cid(i))
+        reg.register(*_coupon(i))
     reg.mark_used(_cid(0), 1)
     with pytest.raises(InvalidTransitionError):
         reg.dismantle()  # requires explicit administrative intent
@@ -242,7 +275,7 @@ def test_dismantle(tmp_path):
     with pytest.raises(DismantledError):
         reg.check(_cid(0))
     with pytest.raises(DismantledError):
-        reg.register(_cid(9))
+        reg.register(*_coupon(9))
     with pytest.raises(DismantledError):
         reg.mark_used(_cid(0), 2)
     # the log holds only the marker: coupon ids are gone from disk
@@ -254,10 +287,61 @@ def test_dismantle(tmp_path):
         assert again.dismantled
 
 
+class _NoSpace:
+    """A file opened for writing whose writes fail, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_failed_dismantle_leaves_the_registry_whole(tmp_path, monkeypatch):
+    """A dismantle whose marker cannot be written leaves the log and the
+    registry as they were: never an empty log that reopens live."""
+    path = tmp_path / "reg.log"
+    reg = Registry(path)
+    for i in range(3):
+        reg.register(*_coupon(i))
+    reg.mark_used(_cid(0), 1)
+    before = path.read_bytes()
+    real_open, real_fdopen = builtins.open, os.fdopen
+
+    def failing(opener):
+        def open_(file, mode="r", *args, **kwargs):
+            fh = opener(file, mode, *args, **kwargs)
+            return _NoSpace(fh) if "w" in mode else fh
+        return open_
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", failing(real_open))
+        patch.setattr(os, "fdopen", failing(real_fdopen))
+        with pytest.raises(OSError):
+            reg.dismantle(administrative=True)
+    assert not reg.dismantled and reg.check(_cid(0)).stage is Stage.DOSE1
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["reg.log"]  # no marker left beside it
+    reg.mark_used(_cid(1), 1)
+    reg.close()
+    with Registry(path) as again:
+        assert not again.dismantled and len(again) == 3
+        assert again.check(_cid(1)).stage is Stage.DOSE1
+
+
 def test_len_and_snapshot(registry):
     assert len(registry) == 0
-    registry.register(_cid(0))
-    registry.register(_cid(1))
+    registry.register(*_coupon(0))
+    registry.register(*_coupon(1))
     assert len(registry) == 2
     snap = registry.snapshot()
     registry.mark_used(_cid(0), 1)

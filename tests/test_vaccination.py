@@ -2,9 +2,11 @@
 registry/signing interplay (atomicity, idempotent retries, offline signer)."""
 
 import dataclasses
+import json
 
 import pytest
 
+from vaxcred import canonical, crypto
 from vaxcred.coupons import Coupon, CouponPayload, issue_coupon_batch
 from vaxcred.credentials import (
     AppBinding,
@@ -16,6 +18,7 @@ from vaxcred.credentials import (
     TreeRoot,
     VaccinationLevel,
     pii_commitment,
+    status_for,
 )
 from vaxcred.crypto import generate_keypair, new_salt
 from vaxcred.errors import (
@@ -29,8 +32,8 @@ from vaxcred.errors import (
     WrongStateError,
 )
 from vaxcred.merkle import build_pii_tree
-from vaxcred.registry import Stage
-from vaxcred.service import SigningClient
+from vaxcred.registry import Registry, Stage
+from vaxcred.service import SigningClient, encode_request, handle_request_bytes
 from vaxcred.vaccination import (
     AdmitDecision,
     BadgeIssuer,
@@ -94,15 +97,25 @@ def test_admit_never_raises(issuer_key, registry):
     assert not pharmacy_admit(issuer_key, registry, None).admitted
 
 
-@pytest.mark.parametrize("case", ["forged", "unknown", "used", "dismantled"])
+REFUSALS = {"forged": "bad-coupon", "bit-flip": "bad-coupon", "other-key": "bad-coupon",
+            "unknown": "unknown-coupon", "used": "already-used", "dismantled": "dismantled"}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
 def test_admission_and_first_dose_refuse_alike(case, issuer, issuer_key, registry,
-                                               coupon, session):
+                                               coupon, session, rng):
     """pharmacy_admit's reason is the code of the error a first dose
-    raises on the same coupon, but a bad coupon reads "bad-signature"."""
+    raises on the same coupon, but a bad coupon reads "bad-signature";
+    the issuer, sent the signing frame, replies with that code too."""
     if case == "forged":
         coupon = Coupon(payload=CouponPayload(index=9, zip_code="02139",
                                               job_type="healthcare"),
                         signature=coupon.signature)
+    elif case == "bit-flip":
+        flipped = bytes([coupon.signature[0] ^ 1]) + coupon.signature[1:]
+        coupon = Coupon(payload=coupon.payload, signature=flipped)
+    elif case == "other-key":
+        coupon = Coupon.sign(generate_keypair(rng)[0], coupon.payload)
     elif case == "unknown":
         coupon = issue_coupon_batch(issuer, 1, "02139", "healthcare", start_index=50)[0]
     elif case == "used":
@@ -112,12 +125,54 @@ def test_admission_and_first_dose_refuse_alike(case, issuer, issuer_key, registr
     decision = pharmacy_admit(issuer_key, registry, coupon)
     with pytest.raises(VaxError) as raised:
         session.issue_credentials_paper(coupon, _dose(), PII)
+    info = BadgeInfo(binding=Commitment(pii_commitment(PII, new_salt(rng))), coupon=coupon,
+                     dose_history=(_dose(),))
+    reply = canonical.decode(handle_request_bytes(
+        BadgeIssuer(issuer, registry), encode_request(info, status_for(info, None))))
     assert not decision.admitted
-    if case == "forged":
+    assert raised.value.code == reply["error"] == REFUSALS[case]
+    if case in ("forged", "bit-flip", "other-key"):
         assert decision.reason == AdmitDecision.BAD_SIGNATURE
         assert isinstance(raised.value, BadCouponError)
     else:
         assert decision.reason == raised.value.code
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """Counts Ed25519 verifies: every signature check goes through crypto.verify."""
+    calls = []
+    real = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_dose_path_verifies(session, coupon, verifies):
+    """A registered coupon is admitted by its registry digest, at the
+    counter and at the issuer; a second dose verifies only the badge."""
+    badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
+    assert len(verifies) == 0
+    session.second_dose(badge, _dose(n=2, date="2021-02-22"))
+    assert len(verifies) == 1
+
+
+def test_old_log_entry_admits_by_verify(issuer, issuer_key, rng, tmp_path, verifies):
+    """A register record written before signature digests were logged
+    still admits its coupon, through the signature check."""
+    coupon = issue_coupon_batch(issuer, 1, "02139", "healthcare", start_index=7)[0]
+    path = tmp_path / "registry.log"
+    path.write_text(json.dumps({"cid": coupon.coupon_id.hex(), "date": None,
+                                "op": "register", "seq": 1}) + "\n")
+    with Registry(path) as registry:
+        assert pharmacy_admit(issuer_key, registry, coupon).admitted
+        forged = Coupon(payload=coupon.payload, signature=bytes(64))
+        assert pharmacy_admit(issuer_key, registry, forged).reason == "bad-signature"
+        session = PharmacySession(vk_issuer=issuer_key, registry=registry,
+                                  signer=BadgeIssuer(issuer, registry), rng=rng)
+        del verifies[:]
+        session.issue_credentials_paper(coupon, _dose(), PII)
+        assert len(verifies) == 2
+        assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
 
 
 def test_paper_issue_round(issuer_key, registry, coupon, session):
