@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from . import qr
+from . import durable, qr
 from .config import ENV_KEYSTORE, ENV_PASSPHRASE, ENV_REGISTRY, load_config
 from .coupons import Coupon, DistributorBatch, EligibilityRecord, issue_coupon_batch
 from .credentials import Badge, DoseInfo, Passkey, Status, VaccinationLevel
@@ -30,7 +30,6 @@ from .health import (
     AggServer,
     AlertEntry,
     AggregateResult,
-    ReportStore,
     SymptomReport,
     SymptomVector,
     add_dp_noise,
@@ -59,7 +58,6 @@ from .wallet import (
     store_credentials,
     wallet_init_app,
     wallet_init_paper,
-    write_atomic,
 )
 
 # -- plumbing -----------------------------------------------------------------
@@ -148,13 +146,10 @@ def cmd_issuer_keygen(args) -> int:
     path = _key_path(args)
     blob = handle.seal(_passphrase(args))
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        durable.create(path, blob)
     except FileExistsError:
         raise ConfigError(f"{path} exists: refusing to replace an issuer key") from None
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(blob)
-    with open(path + ".pub", "w", encoding="utf-8") as fh:
-        fh.write(vk.hex() + "\n")
+    durable.replace(path + ".pub", (vk.hex() + "\n").encode())
     print(f"key written to {path} (public half: {path}.pub)")
     return 0
 
@@ -170,8 +165,7 @@ def cmd_issuer_issue_batch(args) -> int:
         )
     lines = [qr.encode_qr(c) for c in coupons]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
+        durable.replace(args.out, "".join(line + "\n" for line in lines).encode())
         print(f"{len(lines)} coupons written to {args.out}")
     else:
         for line in lines:
@@ -201,26 +195,34 @@ def cmd_issuer_serve(args) -> int:
 
 
 def cmd_distributor_give(args) -> int:
+    """``--state`` is a journal of released indices, one {"released": [...]}
+    per line. Older releases wrote one such object with no newline, which the
+    journal would cut as a torn line; it is refused (a newline converts it)."""
     with open(args.batch, "r", encoding="utf-8") as fh:
         coupons = [
             qr.decode_qr(line.strip(), Coupon)
             for line in fh
             if line.strip()
         ]
-    released = set()
-    if args.state and os.path.exists(args.state):
-        with open(args.state, "r", encoding="utf-8") as fh:
-            released = set(json.load(fh)["released"])
-    batch = DistributorBatch(coupons=coupons, released=released)
     record = EligibilityRecord(
         subject_ref=args.subject,
         zip_code=args.zip,
         job_type=args.job,
         approved=not args.rejected,
     )
-    coupon = batch.distribute(record)
-    if args.state:
-        write_atomic(args.state, json.dumps({"released": sorted(batch.released)}).encode())
+    if not args.state:
+        coupon = DistributorBatch(coupons=coupons).distribute(record)
+    else:
+        with contextlib.suppress(FileNotFoundError, ValueError), open(args.state, "rb") as fh:
+            data = fh.read()
+            if not data.endswith(b"\n") and json.loads(data):
+                raise ConfigError(f"{args.state} is distributor state in the old form: "
+                                  "add a newline at its end to convert it")
+        with contextlib.closing(durable.Journal(args.state)) as journal, \
+                journal.locked() as records:
+            released = {index for r in records for index in r["released"]}
+            coupon = DistributorBatch(coupons=coupons, released=released).distribute(record)
+            journal.append([{"released": [coupon.payload.index]}])
     print(qr.export_coupon_url(coupon) if args.url else qr.encode_qr(coupon))
     return 0
 
@@ -449,16 +451,12 @@ def _vector_from_text(text: str) -> SymptomVector:
 def cmd_health_report(args) -> int:
     vector = _vector_from_text(args.vector)
     coupon = _decode_coupon(args) if args.coupon else None
-    store = (
-        ReportStore.load(args.store, dim=vector.dim)
-        if os.path.exists(args.store)
-        else ReportStore(dim=vector.dim)
-    )
     report = SymptomReport(vector=vector, timestamp=_today(args), coupon=coupon)
     with Registry(_registry_path(args)) as registry:
-        accepted = upload_report(registry, store, report)
-    if accepted:
-        store.save(args.store)
+        record = upload_report(registry, report)
+    if record is not None:
+        with contextlib.closing(durable.Journal(args.store)) as store, store.locked():
+            store.append([record])
         print("accepted")
         return 0
     print("rejected")
@@ -474,8 +472,8 @@ def cmd_health_split(args) -> int:
 
 
 def cmd_health_aggregate(args) -> int:
-    with open(args.shares, "r", encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    with open(args.shares, "rb") as fh:
+        rows = list(durable.json_lines(fh.read()))
     if not rows:
         print(json.dumps({"n": 0, "totals": []}))
         return 0
@@ -543,8 +541,7 @@ def cmd_sim_run(args) -> int:
     log = run_scenario(script, args.seed)
     text = log.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        durable.replace(args.out, text.encode())
         print(f"transcript written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -588,10 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-index", type=int, default=0)
     p.add_argument("--out", help="write CPN1 lines here instead of stdout")
     p.set_defaults(fn=cmd_issuer_issue_batch)
-    p = issuer.add_parser("serve",
-                          description="Run the signing service. The registry "
-                          "log is replayed once at startup, so issue batches "
-                          "before starting the server.")
+    p = issuer.add_parser("serve", description="Run the signing service.")
     _add_common_signing(p)
     p.add_argument("--registry")
     p.add_argument("--host", default="127.0.0.1")
@@ -602,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = roles.add_parser("distributor").add_subparsers(dest="cmd", required=True)
     p = dist.add_parser("give")
     p.add_argument("--batch", required=True, help="file of CPN1 lines")
-    p.add_argument("--state", help="released-index state file (JSON)")
+    p.add_argument("--state", help="released-index journal (JSON lines)")
     p.add_argument("--subject", required=True)
     p.add_argument("--zip", required=True)
     p.add_argument("--job", required=True)

@@ -19,7 +19,6 @@ DEFAULT_JOB_TYPES = (
 )
 
 DOSE_INTERVAL_DAYS = 21
-SYMPTOM_DIM = 16
 SYMPTOM_BOUND = 2 ** 16
 FIELD_MODULUS = 2 ** 31 - 1
 MAX_REPORTS = 2 ** 14

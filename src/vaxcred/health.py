@@ -18,13 +18,12 @@ bytes carry nothing about the holder.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from . import canonical
-from .config import FIELD_MODULUS, MAX_REPORTS, SYMPTOM_BOUND, SYMPTOM_DIM
+from . import canonical, durable
+from .config import FIELD_MODULUS, MAX_REPORTS, SYMPTOM_BOUND
 from .coupons import Coupon
 from .credentials import DoseInfo
 from .crypto import randomness
@@ -37,7 +36,6 @@ from .errors import (
     ShareLengthError,
     WrongStateError,
 )
-from .wallet import write_atomic
 
 ALERT_SCOPES = ("product", "lot", "site", "condition")
 
@@ -76,53 +74,22 @@ class SymptomReport:
             raise CanonicalError("dose_ref must be (product, lot, site)")
 
 
-class ReportStore:
-    """Raw store of accepted reports. Anonymous records never carry a
-    coupon field at all — there is nothing to redact later."""
-
-    def __init__(self, dim: int = SYMPTOM_DIM):
-        self.dim = dim
-        self.records = []
-
-    def append(self, report: SymptomReport) -> None:
-        record = {
-            "timestamp": report.timestamp,
-            "vector": list(report.vector.counts),
-        }
-        if report.coupon is not None:
-            record["coupon_id"] = report.coupon.coupon_id.hex()
-        if report.dose_ref is not None:
-            product, lot, site = report.dose_ref
-            record["dose_ref"] = {"lot": lot, "product": product, "site": site}
-        self.records.append(record)
-
-    def save(self, path) -> None:
-        write_atomic(path, _json_lines(self.records))
-
-    @classmethod
-    def load(cls, path, dim: int = SYMPTOM_DIM) -> "ReportStore":
-        store = cls(dim=dim)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    store.records.append(json.loads(line))
-        return store
-
-
-def upload_report(registry, store: ReportStore, report: SymptomReport) -> bool:
-    """Accept anonymous reports outright; coupon-bound ones only when the
-    registry holds that exact coupon (so an entry replayed from a log with
-    no signature digests binds none) and it has been redeemed. Returns the
-    decision, never raises."""
-    if report.vector.dim != store.dim:
-        return False
+def upload_report(registry, report: SymptomReport) -> Optional[dict]:
+    """The record to store for ``report``, or None when it is refused.
+    Anonymous reports are accepted outright, and their records carry no
+    coupon field at all; coupon-bound ones only when the registry holds that
+    exact coupon (so an entry replayed from a log with no signature digests
+    binds none) and it has been redeemed."""
+    record = {"timestamp": report.timestamp, "vector": list(report.vector.counts)}
     if report.coupon is not None:
         state = registry.match(report.coupon.coupon_id, report.coupon.sig_digest)
         if state is None or not state.is_used:
-            return False
-    store.append(report)
-    return True
+            return None
+        record["coupon_id"] = report.coupon.coupon_id.hex()
+    if report.dose_ref is not None:
+        product, lot, site = report.dose_ref
+        record["dose_ref"] = {"lot": lot, "product": product, "site": site}
+    return record
 
 
 # -- additive secret sharing --------------------------------------------------
@@ -268,26 +235,6 @@ def add_dp_noise(
     )
 
 
-# -- share submission wire -----------------------------------------------------
-
-
-def share_submission_bytes(nonce: bytes, p: int, share) -> bytes:
-    share = list(share)
-    return canonical.encode(
-        {"d": len(share), "nonce": nonce, "p": p, "share": share}
-    )
-
-
-def parse_share_submission(data: bytes):
-    obj = canonical.decode(data)
-    if not isinstance(obj, dict) or set(obj) != {"d", "nonce", "p", "share"}:
-        raise CanonicalError("malformed share submission")
-    share = obj["share"]
-    if not isinstance(share, list) or len(share) != obj["d"]:
-        raise ShareLengthError("share length disagrees with declared dimension")
-    return obj["nonce"], obj["p"], tuple(share)
-
-
 # -- alert feeds ----------------------------------------------------------------
 
 
@@ -313,33 +260,17 @@ def publish_alert_feed(day: str, entries) -> AlertFeed:
 
 
 def save_feed(feed: AlertFeed, path) -> None:
-    write_atomic(path, _json_lines(
+    durable.replace(path, durable.dump_lines(
         {"day": feed.day, "key": e.key, "message": e.message, "scope": e.scope}
         for e in feed.entries
     ))
 
 
-def _json_lines(records) -> bytes:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
-
-
-def load_feed(path, day: Optional[str] = None) -> AlertFeed:
-    entries = []
-    seen_day = day
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            seen_day = record.get("day", seen_day)
-            entries.append(
-                AlertEntry(
-                    scope=record["scope"], key=record["key"],
-                    message=record["message"],
-                )
-            )
-    return AlertFeed(day=seen_day or "", entries=tuple(entries))
+def load_feed(path) -> AlertFeed:
+    with open(path, "rb") as fh:
+        records = list(durable.json_lines(fh.read()))
+    entries = tuple(AlertEntry(r["scope"], r["key"], r["message"]) for r in records)
+    return AlertFeed(day=records[-1].get("day", "") if records else "", entries=entries)
 
 
 def feed_request_bytes(day: str) -> bytes:

@@ -2,10 +2,10 @@
 
 Tracks each coupon id through unused -> dose1 -> dose2 under a lock, so
 concurrent redemptions of the same coupon serialize and exactly one wins.
-Every transition is appended to a JSON-lines log before the call returns;
-replaying the log reproduces the in-memory state. A record counts once its
-newline is on disk: opening the log cuts a torn final line left by a crash
-mid-append, so the next append starts on a line of its own.
+Every transition is appended to a JSON-lines log before memory changes;
+replaying the log reproduces the in-memory state. Handles in several
+processes may share one log: each decides a transition under the log's
+lock, after applying what the others appended, so one still wins.
 
 A coupon is registered with a digest of its signature; signing is
 deterministic, so a coupon matching id and digest is the one the issuer
@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import fcntl
 import hmac
-import json
-import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from .durable import Journal
 from .errors import (
     AlreadyUsedError,
     CanonicalError,
@@ -36,7 +34,6 @@ from .errors import (
     InvalidTransitionError,
     UnknownCouponError,
 )
-from .wallet import write_atomic
 
 
 class Stage(enum.Enum):
@@ -69,14 +66,6 @@ class _Entry:
         self.req1 = None
         self.req2 = None
 
-    def move(self, stage: Stage, date: Optional[str], digest: Optional[bytes]) -> None:
-        self.stage, self.date = stage, date
-        if digest is not None:
-            if stage is Stage.DOSE1:
-                self.req1 = digest
-            else:
-                self.req2 = digest
-
 
 class Registry:
     """In-memory map of coupon id -> state, optionally backed by a log file."""
@@ -86,61 +75,39 @@ class Registry:
         self._entries = {}
         self._seq = 0
         self._dismantled = False
-        self._log_path = os.fspath(log_path) if log_path is not None else None
-        self._log_fh = None
-        if self._log_path is not None:
-            self._log_fh = open(self._log_path, "a", encoding="utf-8")
+        self._journal = Journal(log_path) if log_path is not None else None
+        if self._journal is not None:
             try:
-                with self._file_lock():
-                    records = self._read_complete()
-                self._replay(records)
+                with self._journal.locked() as records:
+                    pass
+                self._replay(records)  # after the lock: appends elsewhere need not wait
             except BaseException:
-                self._log_fh.close()
+                self._journal.close()
                 raise
 
     # -- logging ---------------------------------------------------------
 
     @contextlib.contextmanager
-    def _file_lock(self):
-        """Exclusive lock on the log file, so that no other process reads a
-        record half written, or appends while a torn tail is being cut.
-        Held only for the read and the cut on open, not for the replay."""
-        fd = self._log_fh.fileno()
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        try:
+    def _log_locked(self):
+        """Hold the log's lock, with what other handles appended applied, so
+        a decision made here is made on the whole log. Under ``self._lock``."""
+        if self._journal is None:
             yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
+            return
+        with self._journal.locked() as records:
+            self._replay(records)
+            yield
 
-    def _append(self, records: list) -> None:
-        """Number the records; with a log, write them all, then one fsync."""
+    def _commit(self, records: list) -> None:
+        """Log the numbered records with one fsync, then apply them as a replay would."""
+        for seq, record in enumerate(records, self._seq + 1):
+            record["seq"] = seq
+        if self._journal is not None:
+            self._journal.append(records)
+        self._replay(records)
+
+    def _replay(self, records) -> None:
         for record in records:
-            self._seq += 1
-            record["seq"] = self._seq
-        if self._log_fh is not None:
-            data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-            with self._file_lock():
-                self._log_fh.write(data)
-                self._log_fh.flush()
-                os.fsync(self._log_fh.fileno())
-
-    def _read_complete(self) -> bytes:
-        """The log's newline-terminated records. What follows the last
-        newline is a torn append, never acknowledged to its caller; it is
-        cut so that the next append starts on a line of its own."""
-        with open(self._log_path, "rb") as fh:
-            data = fh.read()
-        complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            os.ftruncate(self._log_fh.fileno(), complete)
-        return data[:complete]
-
-    def _replay(self, records: bytes) -> None:
-        for i, line in enumerate(records.split(b"\n")[:-1]):
-            try:
-                record = json.loads(line)
-            except ValueError:
-                raise CanonicalError(f"corrupt registry log at line {i + 1}") from None
             self._apply(record)
             self._seq = max(self._seq, int(record.get("seq", 0)))
 
@@ -157,9 +124,12 @@ class Registry:
             return
         if op in ("dose1", "dose2"):
             req = record.get("req")
-            self._entries.setdefault(cid, _Entry(None)).move(
-                Stage(op), record.get("date"), bytes.fromhex(req) if req else None
-            )
+            entry = self._entries.setdefault(cid, _Entry(None))
+            entry.stage, entry.date = Stage(op), record.get("date")
+            if req and op == "dose1":
+                entry.req1 = bytes.fromhex(req)
+            elif req:
+                entry.req2 = bytes.fromhex(req)
             return
         raise CanonicalError(f"unknown registry record op {op!r}")
 
@@ -169,10 +139,18 @@ class Registry:
         if self._dismantled:
             raise DismantledError("registry has been dismantled")
 
+    def _lookup(self, coupon_id: bytes) -> Optional[_Entry]:
+        """The coupon's entry; only a miss takes the log's lock, to look again."""
+        entry = self._entries.get(coupon_id)
+        if entry is None and self._journal is not None:
+            with self._log_locked():
+                entry = self._entries.get(coupon_id)
+        return entry
+
     def check(self, coupon_id: bytes) -> CouponState:
         with self._lock:
+            entry = self._lookup(coupon_id)
             self._guard()
-            entry = self._entries.get(coupon_id)
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
             return CouponState(entry.stage, entry.date)
@@ -181,17 +159,18 @@ class Registry:
         """The state of the coupon registered with this id and signature
         digest; None for any other, for an entry without a digest, and on a
         dismantled registry (which holds no entries), so a caller can fall
-        back to a signature check that decides the error. Never raises."""
+        back to a signature check that decides the error."""
         with self._lock:
-            entry = self._entries.get(coupon_id)
+            entry = self._lookup(coupon_id)
             if entry is None or entry.sig is None or not hmac.compare_digest(entry.sig, digest):
                 return None
             return CouponState(entry.stage, entry.date)
 
     def known(self, coupon_id: bytes) -> bool:
         with self._lock:
+            entry = self._lookup(coupon_id)
             self._guard()
-            return coupon_id in self._entries
+            return entry is not None
 
     def __len__(self) -> int:
         with self._lock:
@@ -223,13 +202,11 @@ class Registry:
             if not isinstance(sig_digest, bytes) or len(sig_digest) != 32:
                 raise CanonicalError("signature digest must be 32 bytes")
         ids = [coupon_id for coupon_id, _ in coupons]
-        with self._lock:
+        with self._lock, self._log_locked():
             self._guard()
             if len(set(ids)) != len(ids) or not self._entries.keys().isdisjoint(ids):
                 raise InvalidTransitionError("batch names a coupon already registered")
-            for coupon_id, sig_digest in coupons:
-                self._entries[coupon_id] = _Entry(sig_digest)
-            self._append(
+            self._commit(
                 [{"cid": c.hex(), "date": None, "op": "register", "sig_digest": d.hex()}
                  for c, d in coupons]
             )
@@ -247,7 +224,7 @@ class Registry:
         if dose not in (1, 2):
             raise InvalidTransitionError(f"dose must be 1 or 2, got {dose}")
         req = bytes(request_digest) if request_digest else None
-        with self._lock:
+        with self._lock, self._log_locked():
             self._guard()
             entry = self._entries.get(coupon_id)
             if entry is None:
@@ -265,12 +242,10 @@ class Registry:
                     if req is not None and entry.req2 == req:
                         return False
                     raise AlreadyUsedError(coupon_id.hex())
-            new_stage = Stage.DOSE1 if dose == 1 else Stage.DOSE2
-            entry.move(new_stage, date, req)
-            record = {"cid": coupon_id.hex(), "op": new_stage.value, "date": date}
+            record = {"cid": coupon_id.hex(), "op": f"dose{dose}", "date": date}
             if req is not None:
                 record["req"] = req.hex()
-            self._append([record])
+            self._commit([record])
             return True
 
     def dismantle(self, *, administrative: bool = False) -> None:
@@ -280,23 +255,18 @@ class Registry:
         flag; repeat calls are no-ops."""
         if not administrative:
             raise InvalidTransitionError("dismantle requires the administrative flag")
-        with self._lock:
+        with self._lock, self._log_locked():
             if self._dismantled:
                 return
-            if self._log_fh is not None:
-                marker = {"op": "dismantle", "seq": self._seq + 1}
-                write_atomic(self._log_path, (json.dumps(marker, sort_keys=True) + "\n").encode())
-                self._log_fh.close()
-                self._log_fh = open(self._log_path, "a", encoding="utf-8")
-            self._seq += 1
-            self._entries.clear()
-            self._dismantled = True
+            marker = {"op": "dismantle", "seq": self._seq + 1}
+            if self._journal is not None:
+                self._journal.replace([marker])
+            self._replay([marker])
 
     def close(self) -> None:
         with self._lock:
-            if self._log_fh is not None:
-                self._log_fh.close()
-                self._log_fh = None
+            if self._journal is not None:
+                self._journal.close()
 
     def __enter__(self):
         return self

@@ -29,7 +29,6 @@ from .errors import VaxError
 from .groupverify import gate_round_trip, make_venue, venue_start
 from .health import (
     AggServer,
-    ReportStore,
     SymptomReport,
     SymptomVector,
     add_dp_noise,
@@ -105,7 +104,6 @@ class _World:
         self.batches = {}  # (zip, job) -> DistributorBatch
         self.wallets = {}  # user id -> WalletState
         self.pending_coupons = {}  # coupons handed out before wallet init
-        self.store = None
         self.servers = None
         self._plain_sum = None
         self.violations = []
@@ -241,10 +239,8 @@ class _World:
         counts = tuple(self.rng.randrange(0, 4) for _ in range(dim))
         vector = SymptomVector(counts)
         coupon = None if action.get("anonymous", False) else wallet.coupon
-        if self.store is None:
-            self.store = ReportStore(dim=dim)
         report = SymptomReport(vector=vector, timestamp=_date_at(at), coupon=coupon)
-        accepted = upload_report(self.registry, self.store, report)
+        accepted = upload_report(self.registry, report) is not None
         if accepted:
             if self.servers is None:
                 self.servers = (AggServer(dim), AggServer(dim))

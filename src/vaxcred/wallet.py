@@ -13,15 +13,12 @@ a version byte, a KDF salt, an AEAD nonce, and the sealed body).
 
 from __future__ import annotations
 
-import contextlib
 import datetime as _dt
 import enum
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from . import canonical
+from . import canonical, durable
 from .credentials import (
     Badge,
     Commitment,
@@ -273,26 +270,7 @@ def _wallet_from_wire(obj: dict, passphrase: str) -> WalletState:
 
 def save_wallet(state: WalletState, path, passphrase: str) -> None:
     body = canonical.encode(_wallet_wire(state, passphrase))
-    write_atomic(path, seal_with_passphrase(body, passphrase, _WALLET_INFO))
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Replace the file at ``path`` so that a failed write leaves the old
-    one whole: write a temporary file in the same directory, fsync it,
-    then rename it over ``path``. Wallets, distributor state, report
-    stores and alert feeds have no other copy."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    durable.replace(path, seal_with_passphrase(body, passphrase, _WALLET_INFO))
 
 
 def load_wallet(path, passphrase: str) -> WalletState:

@@ -2,7 +2,10 @@
 
 import json
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +96,57 @@ def test_distributor_walks_the_batch(capsys, env):
     assert code == 2 and "mismatch" in err
 
 
+# runs `vaxcred <argv>` the given number of times, printing each output
+_REPEAT = """
+import sys
+from vaxcred import cli
+for _ in range(int(sys.argv[1])):
+    if cli.main(sys.argv[2:]) != 0:
+        sys.exit(1)
+"""
+
+
+def _two_at_once(times, *argv) -> list:
+    """The stdout of two processes each running a command ``times`` times,
+    started together."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    procs = [subprocess.Popen([sys.executable, "-c", _REPEAT, str(times), *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
+    return [out for out, _ in outs]
+
+
+def test_concurrent_distributors_hand_out_each_coupon_once(capsys, env):
+    """Two `distributor give` processes share one state journal: the
+    choice of coupon and its record are made under its lock."""
+    lines = _issue_batch(capsys, env, n=30)
+    outs = _two_at_once(15, "distributor", "give", "--batch", str(env / "batch.txt"),
+                        "--state", str(env / "handed.json"), "--subject", "S",
+                        "--zip", "02139", "--job", "healthcare")
+    assert sorted(line for out in outs for line in out.splitlines()) == sorted(lines)
+
+
+def test_distributor_refuses_an_old_state_file(capsys, env):
+    """Older releases kept state as one JSON object with no newline, which
+    the journal would cut as a torn line: it is refused and left as it is,
+    and a newline converts it. A torn last line in the new form is cut."""
+    lines = _issue_batch(capsys, env, n=3)
+    state = env / "handed.json"
+    old = json.dumps({"released": [0]})
+    state.write_text(old)
+    give = ("distributor", "give", "--batch", str(env / "batch.txt"), "--state",
+            str(state), "--subject", "S1", "--zip", "02139", "--job", "healthcare")
+    code, _, err = run(capsys, *give)
+    assert code == 2 and "old form" in err and state.read_text() == old
+    state.write_text(old + '\n{"released": [')
+    code, out, _ = run(capsys, *give)
+    assert code == 0 and out.strip() == lines[1]
+    assert state.read_text() == old + '\n{"released": [1]}\n'
+
+
 def test_distributor_url_form(capsys, env):
     _issue_batch(capsys, env, n=1)
     code, out, _ = run(
@@ -171,6 +225,30 @@ def test_pharmacy_vaccinate_through_the_signing_service(capsys, env, monkeypatch
         coupon = decode_qr(batch[0], Coupon)
         assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
     assert len(closed) == 1
+
+
+def test_the_signing_service_finds_batches_issued_after_it_started(capsys, env):
+    """The server's registry looks again in the log for a coupon it does
+    not hold, so a batch issued while it runs is served."""
+    assert run(capsys, "issuer", "keygen")[0] == 0
+    handle = KeyHandle.unseal((env / "issuer.key").read_bytes(), "marmot circus tundra")
+    with Registry(env / "registry.jsonl") as registry:
+        server = serve(BadgeIssuer(handle, registry))
+        try:
+            code, coupon, _ = run(capsys, "issuer", "issue-batch", "--n", "1",
+                                  "--zip", "02139", "--job", "healthcare")
+            code, out, err = run(
+                capsys, "pharmacy", "vaccinate", "--coupon", coupon.strip(),
+                "--issuer-pub", "@" + str(env / "issuer.key.pub"),
+                "--variant", "paper", "--pii", "name=Ada Q", "--product", "VX-ALPHA",
+                "--lot", "L-1", "--site", "S-01", "--service", f"127.0.0.1:{server.port}",
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 0, err
+        cid = decode_qr(coupon.strip(), Coupon).coupon_id
+        assert registry.check(cid).stage is Stage.DOSE1
 
 
 def test_wallet_lifecycle_and_disclosure(capsys, env):
@@ -383,6 +461,15 @@ def test_health_report_and_feed(capsys, env):
     code, out, _ = run(capsys, "health", "match", "--feed", str(feed),
                        "--lot", "L-77")
     assert code == 0 and "no alerts match" in out
+
+
+def test_concurrent_health_reports_lose_none(capsys, env):
+    """Each `health report` appends its one record under the store's lock,
+    so two processes reporting at once lose none."""
+    store = env / "reports.jsonl"
+    _two_at_once(20, "health", "report", "--vector", "1,0,2", "--store", str(store),
+                 "--date", "2021-04-01")
+    assert len(store.read_text().splitlines()) == 40
 
 
 def test_health_report_needs_the_coupon_not_its_payload(capsys, env):

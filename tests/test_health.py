@@ -4,7 +4,9 @@ The share-uniformity checks use scipy's chi-square against a fixed seed;
 the Laplace mechanism is checked against its analytic mean and variance.
 """
 
-import json
+import contextlib
+import errno
+import os
 import random
 
 import pytest
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from vaxcred import durable
 from vaxcred.canonical import decode as canonical_decode
-from vaxcred.canonical import encode as canonical_encode
 from vaxcred.coupons import Coupon, issue_coupon_batch
 from vaxcred.credentials import DoseInfo
 from vaxcred.errors import (
@@ -28,7 +30,6 @@ from vaxcred.errors import (
 from vaxcred.health import (
     AggServer,
     AlertEntry,
-    ReportStore,
     SymptomReport,
     SymptomVector,
     add_dp_noise,
@@ -37,11 +38,9 @@ from vaxcred.health import (
     laplace_sample,
     load_feed,
     match_alerts,
-    parse_share_submission,
     publish_alert_feed,
     recombine,
     save_feed,
-    share_submission_bytes,
     split_shares,
     upload_report,
 )
@@ -312,54 +311,51 @@ def _redeemed_coupon(issuer, registry, rng):
     return coupon, cid
 
 
+def _store(path, records) -> None:
+    """Append accepted report records to the store, as `health report` does."""
+    with contextlib.closing(durable.Journal(path)) as store, store.locked():
+        store.append(records)
+
+
+def _stored(path) -> list:
+    return list(durable.json_lines(path.read_bytes()))
+
+
 def test_upload_paths(issuer, registry, rng):
     coupon, cid = _redeemed_coupon(issuer, registry, rng)
-    store = ReportStore(dim=4)
     vec = SymptomVector((1, 0, 2, 0))
 
-    assert upload_report(registry, store, SymptomReport(vec, "2021-03-01"))
+    assert upload_report(registry, SymptomReport(vec, "2021-03-01"))
     assert upload_report(
-        registry, store,
+        registry,
         SymptomReport(vec, "2021-03-01", coupon=coupon,
                       dose_ref=("VX-ALPHA", "L-1", "S-01")),
-    )
+    ) == {"coupon_id": cid.hex(), "dose_ref": {"lot": "L-1", "product": "VX-ALPHA",
+                                                "site": "S-01"},
+          "timestamp": "2021-03-01", "vector": [1, 0, 2, 0]}
     # unredeemed coupon: registered but never marked used
     fresh = issue_coupon_batch(issuer, 1, "02139", "education",
                                registry=registry, start_index=50)[0]
-    assert not upload_report(
-        registry, store,
-        SymptomReport(vec, "2021-03-01", coupon=fresh),
-    )
+    assert upload_report(registry, SymptomReport(vec, "2021-03-01", coupon=fresh)) is None
     # unknown coupon: genuine, never registered
     stray = issue_coupon_batch(issuer, 1, "02139", "education", start_index=77)[0]
-    assert not upload_report(
-        registry, store, SymptomReport(vec, "2021-03-01", coupon=stray)
-    )
-    # wrong dimension
-    assert not upload_report(
-        registry, store, SymptomReport(SymptomVector((1,)), "2021-03-01")
-    )
-    assert len(store.records) == 2
+    assert upload_report(registry, SymptomReport(vec, "2021-03-01", coupon=stray)) is None
 
 
 def test_anonymous_records_have_no_coupon_key(issuer, registry, rng, tmp_path):
     coupon, cid = _redeemed_coupon(issuer, registry, rng)
-    store = ReportStore(dim=2)
     vec = SymptomVector((4, 4))
-    upload_report(registry, store, SymptomReport(vec, "2021-03-02"))
-    upload_report(registry, store,
-                  SymptomReport(vec, "2021-03-02", coupon=coupon))
+    anonymous = upload_report(registry, SymptomReport(vec, "2021-03-02"))
+    bound = upload_report(registry, SymptomReport(vec, "2021-03-02", coupon=coupon))
 
-    anonymous, bound = store.records
     assert "coupon_id" not in anonymous  # absent key, not a blank value
     assert bound["coupon_id"] == cid.hex()
 
     path = tmp_path / "reports.jsonl"
-    store.save(path)
-    lines = path.read_text().splitlines()
-    assert "coupon_id" not in json.loads(lines[0])
-    reloaded = ReportStore.load(path, dim=2)
-    assert reloaded.records == store.records
+    _store(path, [anonymous])
+    _store(path, [bound])
+    assert b"coupon_id" not in path.read_bytes().splitlines()[0]
+    assert _stored(path) == [anonymous, bound]
 
 
 def test_bound_report_needs_the_coupon_not_its_payload(issuer, registry, rng, tmp_path):
@@ -367,19 +363,18 @@ def test_bound_report_needs_the_coupon_not_its_payload(issuer, registry, rng, tm
     under any other signature binds no report, and neither does an entry
     replayed from a log that recorded no signature digest."""
     coupon, cid = _redeemed_coupon(issuer, registry, rng)
-    store = ReportStore(dim=1)
     vec = SymptomVector((1,))
     junk = Coupon(payload=coupon.payload, signature=bytes(range(64)))
     assert junk.coupon_id == cid
-    assert not upload_report(registry, store, SymptomReport(vec, "2021-03-01", coupon=junk))
+    assert upload_report(registry, SymptomReport(vec, "2021-03-01", coupon=junk)) is None
     old_log = tmp_path / "old.log"
-    old_log.write_text(json.dumps({"cid": cid.hex(), "date": None, "op": "register",
-                                   "seq": 1}) + "\n")
+    old_log.write_bytes(durable.dump_lines([{"cid": cid.hex(), "date": None,
+                                             "op": "register", "seq": 1}]))
     with Registry(old_log) as old:
         old.mark_used(cid, 1)
-        assert not upload_report(old, store, SymptomReport(vec, "2021-03-01", coupon=coupon))
-    assert upload_report(registry, store, SymptomReport(vec, "2021-03-01", coupon=coupon))
-    assert [r["coupon_id"] for r in store.records] == [cid.hex()]
+        assert upload_report(old, SymptomReport(vec, "2021-03-01", coupon=coupon)) is None
+    record = upload_report(registry, SymptomReport(vec, "2021-03-01", coupon=coupon))
+    assert record["coupon_id"] == cid.hex()
 
 
 def test_report_shape_validation():
@@ -394,38 +389,10 @@ def test_upload_rejected_after_dismantle(issuer, rng):
     with Registry() as registry:
         coupon, cid = _redeemed_coupon(issuer, registry, rng)
         registry.dismantle(administrative=True)
-        store = ReportStore(dim=1)
         report = SymptomReport(SymptomVector((1,)), "2021-04-01", coupon=coupon)
-        assert not upload_report(registry, store, report)
+        assert upload_report(registry, report) is None
         # anonymous path needs no registry at all
-        assert upload_report(registry, store,
-                             SymptomReport(SymptomVector((1,)), "2021-04-01"))
-
-
-# -- share submission wire ---------------------------------------------------------
-
-
-def test_share_submission_round_trip(rng):
-    bundle = split_shares(SymptomVector((7, 7, 7)), rng=rng)
-    nonce = b"\x42" * 16
-    data = share_submission_bytes(nonce, bundle.p, bundle.share_a)
-    back_nonce, back_p, back_share = parse_share_submission(data)
-    assert (back_nonce, back_p, back_share) == (nonce, bundle.p, bundle.share_a)
-    # declared wire shape
-    obj = canonical_decode(data)
-    assert set(obj) == {"d", "nonce", "p", "share"}
-    assert obj["d"] == 3
-
-
-def test_share_submission_length_lie():
-    data = canonical_encode({"d": 4, "nonce": b"n" * 16, "p": 31,
-                             "share": [1, 2, 3]})
-    with pytest.raises(ShareLengthError):
-        parse_share_submission(data)
-    with pytest.raises(CanonicalError):
-        parse_share_submission(canonical_encode({"d": 1, "share": [1]}))
-    with pytest.raises(CanonicalError):
-        parse_share_submission(b"\xff\xff")
+        assert upload_report(registry, SymptomReport(SymptomVector((1,)), "2021-04-01"))
 
 
 # -- alert feeds --------------------------------------------------------------------
@@ -449,31 +416,28 @@ def test_feed_save_load_round_trip(tmp_path):
 
 
 def test_failed_saves_leave_the_old_files_whole(tmp_path, monkeypatch):
-    """The report store and the alert feed replace their file in one step,
-    so a save that fails on its second record keeps every earlier one."""
-    store = ReportStore(dim=2)
-    for day in ("2021-03-01", "2021-03-02", "2021-03-03"):
-        assert upload_report(Registry(), store, SymptomReport(SymptomVector((1, 2)), day))
+    """A report append and a feed save that fail at their fsync, as on a
+    full disk, leave every earlier record whole and nothing more."""
+    records = [upload_report(Registry(), SymptomReport(SymptomVector((1, 2)), day))
+               for day in ("2021-03-01", "2021-03-02", "2021-03-03")]
     feed = _feed()
-    saves = {tmp_path / "reports.jsonl": store.save,
+    saves = {tmp_path / "reports.jsonl": lambda path: _store(path, records[:2]),
              tmp_path / "alerts.jsonl": lambda path: save_feed(feed, path)}
     for path, save in saves.items():
         save(path)
         before = path.read_bytes()
-        dumps, calls = json.dumps, []
 
-        def second_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise OSError("no space left on device")
-            return dumps(*args, **kwargs)
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         with monkeypatch.context() as m:
-            m.setattr(json, "dumps", second_fails)
+            m.setattr(os, "fsync", no_space)
             with pytest.raises(OSError):
                 save(path)
         assert path.read_bytes() == before
-    assert ReportStore.load(tmp_path / "reports.jsonl", dim=2).records == store.records
+    assert sorted(os.listdir(tmp_path)) == ["alerts.jsonl", "reports.jsonl"]
+    _store(tmp_path / "reports.jsonl", records[2:])
+    assert _stored(tmp_path / "reports.jsonl") == records
     assert load_feed(tmp_path / "alerts.jsonl") == feed
 
 

@@ -6,6 +6,9 @@ import fcntl
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -248,6 +251,115 @@ def test_register_many_writes_once(tmp_path, monkeypatch):
                                      "sig_digest": _coupon(49)[1].hex(), "seq": 51}
     with Registry(path) as again:
         assert again.snapshot() == before
+
+
+def test_a_failed_append_leaves_memory_as_it_was(tmp_path, monkeypatch):
+    """A transition whose fsync fails, as on a full disk, changes neither
+    the log nor memory, so the holder's next request is served rather than
+    refused as already-used."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as reg:
+        reg.register(*_coupon(0))
+        before = path.read_bytes()
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", no_space)
+            with pytest.raises(OSError):
+                reg.mark_used(_cid(0), 1, request_digest=_digest("first"))
+            with pytest.raises(OSError):
+                reg.register_many([_coupon(1), _coupon(2)])
+        assert path.read_bytes() == before
+        assert reg.check(_cid(0)).stage is Stage.UNUSED and not reg.known(_cid(1))
+        assert reg.mark_used(_cid(0), 1, request_digest=_digest("second")) is True
+        reg.register_many([_coupon(1), _coupon(2)])
+        live = reg.snapshot()
+    with Registry(path) as again:
+        assert again.snapshot() == live
+
+
+def test_handles_on_one_log_see_each_other(tmp_path, monkeypatch):
+    """Each handle decides under the log's lock after applying what the
+    others appended: one winner and one numbering per log, a batch found
+    on a miss, and a dismantle seen through the replaced file. A query
+    that hits takes no file lock."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as a, Registry(path) as b:
+        b.register_many([_coupon(0), _coupon(1)])
+        assert a.check(_cid(0)).stage is Stage.UNUSED
+        assert a.mark_used(_cid(0), 1, date="2021-01-05", request_digest=_digest("a")) is True
+        with pytest.raises(AlreadyUsedError):
+            b.mark_used(_cid(0), 1, request_digest=_digest("b"))
+        assert b.mark_used(_cid(0), 1, request_digest=_digest("a")) is False
+        with pytest.raises(InvalidTransitionError):
+            a.register(*_coupon(1))
+        seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()]
+        assert seqs == [1, 2, 3]
+        locks, flock = [], fcntl.flock
+        with monkeypatch.context() as m:
+            m.setattr(fcntl, "flock", lambda fd, op: locks.append(op) or flock(fd, op))
+            assert b.check(_cid(0)) == CouponState(Stage.DOSE1, "2021-01-05")
+            assert a.match(*_coupon(1)) == CouponState(Stage.UNUSED)
+            assert locks == []
+            assert not a.known(_cid(9)) and locks
+        b.dismantle(administrative=True)
+        with pytest.raises(DismantledError):
+            a.mark_used(_cid(1), 1)
+        assert a.dismantled and a.match(*_coupon(1)) is None
+
+
+# a racer: open a handle, report ready, wait for the go, then try to move
+# every coupon with a request digest of its own
+_RACER = """
+import hashlib, sys
+from vaxcred.errors import AlreadyUsedError
+from vaxcred.registry import Registry
+path, name, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+wins = 0
+with Registry(path) as reg:
+    print("ready", flush=True)
+    sys.stdin.readline()
+    for i in range(n):
+        cid = hashlib.sha256(f"coupon-{i}".encode()).digest()
+        req = hashlib.sha256(f"{name}/{i}".encode()).digest()
+        try:
+            wins += reg.mark_used(cid, 1, request_digest=req)
+        except AlreadyUsedError:
+            pass
+print(wins)
+"""
+
+
+def test_two_processes_one_winner(tmp_path):
+    """Two processes, each holding a handle opened before either moves a
+    coupon, race for the same coupons: each moves once, and the log
+    numbers every record once."""
+    path, n = tmp_path / "reg.log", 40
+    with Registry(path) as reg:
+        reg.register_many([_coupon(i) for i in range(n)])
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    racers = [subprocess.Popen([sys.executable, "-c", _RACER, str(path), name, str(n)],
+                               stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+              for name in ("p", "q")]
+    try:
+        for racer in racers:
+            assert racer.stdout.readline().strip() == "ready"
+        for racer in racers:
+            racer.stdin.write("go\n")
+            racer.stdin.flush()
+        wins = [int(racer.communicate(timeout=60)[0]) for racer in racers]
+    finally:
+        for racer in racers:
+            racer.kill()
+            racer.communicate()
+    assert sum(wins) == n
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["seq"] for r in records] == list(range(1, 2 * n + 1))
+    with Registry(path) as again:
+        assert {again.check(_cid(i)).stage for i in range(n)} == {Stage.DOSE1}
 
 
 def test_corrupt_middle_line_rejected(tmp_path):
