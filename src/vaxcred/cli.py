@@ -45,7 +45,7 @@ from .merkle import DisclosureProof
 from .registry import Registry
 from .scenario import canonical_script, double_spend_script, run_scenario
 from .service import SigningClient, serve
-from .vaccination import BadgeIssuer, PharmacySession, pharmacy_admit
+from .vaccination import BadgeIssuer, PharmacySession, check_admission
 from .verification import Reject, verify_presentation
 from .wallet import (
     DisclosureConsent,
@@ -71,27 +71,24 @@ def _read_arg(value: str) -> str:
     return value
 
 
+def _flag_or_env(args, flag: str, env: str) -> str:
+    """``--flag`` if given, else the environment variable ``env``."""
+    value = getattr(args, flag, None) or os.environ.get(env)
+    if not value:
+        raise ConfigError(f"no {flag}: set {env} or pass --{flag}")
+    return value
+
+
 def _passphrase(args) -> str:
-    phrase = getattr(args, "passphrase", None) or os.environ.get(ENV_PASSPHRASE)
-    if not phrase:
-        raise ConfigError(
-            f"no passphrase: set {ENV_PASSPHRASE} or pass --passphrase"
-        )
-    return phrase
+    return _flag_or_env(args, "passphrase", ENV_PASSPHRASE)
 
 
 def _key_path(args) -> str:
-    path = getattr(args, "key", None) or os.environ.get(ENV_KEYSTORE)
-    if not path:
-        raise ConfigError(f"no key file: set {ENV_KEYSTORE} or pass --key")
-    return path
+    return _flag_or_env(args, "key", ENV_KEYSTORE)
 
 
 def _registry_path(args) -> str:
-    path = getattr(args, "registry", None) or os.environ.get(ENV_REGISTRY)
-    if not path:
-        raise ConfigError(f"no registry log: set {ENV_REGISTRY} or pass --registry")
-    return path
+    return _flag_or_env(args, "registry", ENV_REGISTRY)
 
 
 def _load_handle(args) -> KeyHandle:
@@ -210,19 +207,16 @@ def cmd_distributor_give(args) -> int:
         job_type=args.job,
         approved=not args.rejected,
     )
-    if not args.state:
-        coupon = DistributorBatch(coupons=coupons).distribute(record)
-    else:
-        with contextlib.suppress(FileNotFoundError, ValueError), open(args.state, "rb") as fh:
-            data = fh.read()
-            if not data.endswith(b"\n") and json.loads(data):
-                raise ConfigError(f"{args.state} is distributor state in the old form: "
-                                  "add a newline at its end to convert it")
-        with contextlib.closing(durable.Journal(args.state)) as journal, \
-                journal.locked() as records:
-            released = {index for r in records for index in r["released"]}
-            coupon = DistributorBatch(coupons=coupons, released=released).distribute(record)
-            journal.append([{"released": [coupon.payload.index]}])
+    with contextlib.suppress(FileNotFoundError, ValueError), open(args.state, "rb") as fh:
+        data = fh.read()
+        if not data.endswith(b"\n") and json.loads(data):
+            raise ConfigError(f"{args.state} is distributor state in the old form: "
+                              "add a newline at its end to convert it")
+    with contextlib.closing(durable.Journal(args.state)) as journal, \
+            journal.locked() as records:
+        released = {index for r in records for index in r["released"]}
+        coupon = DistributorBatch(coupons=coupons, released=released).distribute(record)
+        journal.append([{"released": [coupon.payload.index]}])
     print(qr.export_coupon_url(coupon) if args.url else qr.encode_qr(coupon))
     return 0
 
@@ -239,10 +233,15 @@ def _decode_coupon(args) -> Coupon:
 
 def cmd_pharmacy_admit(args) -> int:
     coupon = _decode_coupon(args)
+    issuer_pub = _load_pub(args.issuer_pub)
     with Registry(_registry_path(args)) as registry:
-        decision = pharmacy_admit(_load_pub(args.issuer_pub), registry, coupon)
-    print(f"{'admit' if decision.admitted else 'reject'}: {decision.reason}")
-    return 0 if decision.admitted else 2
+        try:
+            check_admission(issuer_pub, registry, coupon)
+        except VaxError as exc:
+            print(f"reject: {exc.code}")
+            return 2
+    print("admit: ok")
+    return 0
 
 
 @contextlib.contextmanager
@@ -369,8 +368,7 @@ def cmd_user_disclose(args) -> int:
 
 def cmd_user_due(args) -> int:
     wallet = load_wallet(args.wallet, _passphrase(args))
-    config = load_config(getattr(args, "config", None))
-    interval = args.interval or config.dose_interval_days
+    interval = load_config(getattr(args, "config", None)).dose_interval_days
     due, days = second_dose_due(wallet, _today(args), interval)
     print(
         f"{'due' if due else 'not due'}: {days} day(s) since dose 1 "
@@ -596,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = roles.add_parser("distributor").add_subparsers(dest="cmd", required=True)
     p = dist.add_parser("give")
     p.add_argument("--batch", required=True, help="file of CPN1 lines")
-    p.add_argument("--state", help="released-index journal (JSON lines)")
+    p.add_argument("--state", required=True, help="released-index journal (JSON lines)")
     p.add_argument("--subject", required=True)
     p.add_argument("--zip", required=True)
     p.add_argument("--job", required=True)
@@ -664,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = user.add_parser("due")
     p.add_argument("--wallet", required=True)
     p.add_argument("--date", help="as-of date (default: today)")
-    p.add_argument("--interval", type=int, help="days between doses")
     p.add_argument("--config")
     p.add_argument("--passphrase")
     p.set_defaults(fn=cmd_user_due)

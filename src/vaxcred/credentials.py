@@ -37,16 +37,21 @@ class VaccinationLevel(enum.IntEnum):
     FULLY = 2
 
 
-def canonical_pii(entries) -> bytes:
-    """Deterministic byte encoding of (label, value) pairs, sorted by label."""
-    pairs = [(str(l), str(v)) for l, v in entries]
+def pii_pairs(entries) -> tuple:
+    """The one rule for identity fields: (label, value) text pairs sorted
+    by label. EmptyRequestError for none, DuplicateLabelError when a
+    label repeats."""
+    pairs = tuple(sorted(((str(l), str(v)) for l, v in entries), key=lambda kv: kv[0]))
     if not pairs:
         raise EmptyRequestError("no identity fields")
-    labels = [l for l, _ in pairs]
-    if len(set(labels)) != len(labels):
+    if any(a[0] == b[0] for a, b in zip(pairs, pairs[1:])):
         raise DuplicateLabelError("duplicate identity label")
-    pairs.sort(key=lambda kv: kv[0])
-    return canonical.encode([[l, v] for l, v in pairs])
+    return pairs
+
+
+def canonical_pii(entries) -> bytes:
+    """Deterministic byte encoding of (label, value) pairs, sorted by label."""
+    return canonical.encode([[l, v] for l, v in pii_pairs(entries)])
 
 
 def pii_commitment(entries, salt: bytes) -> bytes:
@@ -335,8 +340,7 @@ class Passkey(canonical.Wire):
             for kv in self.pii
         ):
             raise CanonicalError("passkey fields must be (label, value) text pairs")
-        canonical_pii(self.pii)  # validates uniqueness, non-emptiness
-        if list(self.pii) != sorted(self.pii, key=lambda kv: kv[0]):
+        if pii_pairs(self.pii) != self.pii:
             raise CanonicalError("passkey fields must be sorted by label")
 
     def commitment(self) -> bytes:

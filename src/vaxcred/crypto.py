@@ -1,9 +1,12 @@
-"""Signing, hashing, salted commitments, and public-key encryption.
+"""Signing, hashing, salted commitments, key agreement and encryption.
 
 Secret material lives behind :class:`KeyHandle` and is never returned by
 any operation; the only persistence path is a passphrase-encrypted blob.
 One 256-bit hash (SHA-256) is used everywhere, separated by one-byte
 domain tags so digests from different contexts can never be spliced.
+This is the only module that calls ``cryptography``: one AEAD
+(ChaCha20-Poly1305) and one agreement (ephemeral X25519, then
+HKDF-SHA256), which maps every failure to AuthFailureError.
 """
 
 from __future__ import annotations
@@ -147,8 +150,9 @@ def _expect_text(obj: dict, key: str) -> str:
 class KeyHandle:
     """Opaque holder of the signing and decryption secrets.
 
-    No method returns secret bytes; ``seal`` exports only a
-    passphrase-encrypted blob. Safe to share across threads (the
+    No method returns the secrets or a raw shared secret: ``derive``
+    returns HKDF output under the caller's label, and ``seal`` exports
+    only a passphrase-encrypted blob. Safe to share across threads (the
     underlying key objects are immutable).
     """
 
@@ -159,7 +163,6 @@ class KeyHandle:
             key_bytes=sign_key.public_key().public_bytes_raw()
             + enc_key.public_key().public_bytes_raw()
         )
-        self.handle_id = tagged_hash(TAG_PASSKEY, self._verifying_key.key_bytes).hex()[:16]
 
     @property
     def verifying_key(self) -> VerifyingKey:
@@ -169,14 +172,17 @@ class KeyHandle:
         return self._sign_key.sign(msg)
 
     def decrypt(self, ct: "PkCiphertext") -> bytes:
-        return _pk_decrypt(self._enc_key, ct)
+        """The plaintext ``encrypt_to`` boxed to this key; AuthFailureError
+        for a wrong key, a tampered box or a malformed one."""
+        if len(ct.nonce) != _NONCE_LEN:
+            raise AuthFailureError("malformed ciphertext")
+        key = self.derive(ct.ephemeral_pub, _PKENC_INFO)
+        return aead_open(key, ct.nonce, ct.body, ct.ephemeral_pub)
 
-    def exchange(self, peer_public: bytes) -> bytes:
-        """Raw X25519 shared secret with an ephemeral peer key (for
-        interactive channels; feed it to a KDF before use)."""
-        if not isinstance(peer_public, bytes) or len(peer_public) != 32:
-            raise AuthFailureError("peer key must be 32 bytes")
-        return self._enc_key.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    def derive(self, eph_pub: bytes, info: bytes, length: int = 32) -> bytes:
+        """The ``length`` bytes that ``ephemeral_agreement`` gave the sender
+        of ``eph_pub`` under ``info``."""
+        return _agree(self._enc_key, eph_pub, eph_pub, info, length)
 
     def seal(self, passphrase: str) -> bytes:
         """Encrypted key blob, decryptable only with the passphrase."""
@@ -191,9 +197,6 @@ class KeyHandle:
             X25519PrivateKey.from_private_bytes(seed[32:]),
         )
 
-    def __repr__(self) -> str:
-        return f"KeyHandle({self.handle_id})"
-
 
 _SEALED_VERSION = b"\x01"
 _NONCE_LEN = 12
@@ -206,7 +209,7 @@ def seal_with_passphrase(plaintext: bytes, passphrase: str, aad: bytes) -> bytes
     holds, so a blob of one kind never opens as another."""
     kdf_salt = secrets.token_bytes(SALT_LEN)
     nonce = secrets.token_bytes(_NONCE_LEN)
-    body = ChaCha20Poly1305(_passphrase_key(passphrase, kdf_salt)).encrypt(nonce, plaintext, aad)
+    body = aead_seal(_passphrase_key(passphrase, kdf_salt), nonce, plaintext, aad)
     return _SEALED_VERSION + kdf_salt + nonce + body
 
 
@@ -218,12 +221,8 @@ def open_with_passphrase(blob: bytes, passphrase: str, aad: bytes) -> bytes:
         raise CanonicalError("not a sealed blob")
     kdf_salt = blob[1 : 1 + SALT_LEN]
     nonce = blob[1 + SALT_LEN : 1 + SALT_LEN + _NONCE_LEN]
-    try:
-        return ChaCha20Poly1305(_passphrase_key(passphrase, kdf_salt)).decrypt(
-            nonce, blob[1 + SALT_LEN + _NONCE_LEN :], aad
-        )
-    except InvalidTag as exc:
-        raise AuthFailureError("wrong passphrase or corrupted sealed blob") from exc
+    key = _passphrase_key(passphrase, kdf_salt)
+    return aead_open(key, nonce, blob[1 + SALT_LEN + _NONCE_LEN :], aad)
 
 
 def _passphrase_key(passphrase: str, kdf_salt: bytes) -> bytes:
@@ -370,30 +369,47 @@ class PkCiphertext:
         )
 
 
-def _derive_aead_key(shared: bytes, ephemeral_pub: bytes) -> bytes:
-    return HKDF(algorithm=SHA256(), length=32, salt=ephemeral_pub, info=_PKENC_INFO).derive(
-        shared
-    )
+def aead_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
+    """ChaCha20-Poly1305 under a 32-byte key and a 12-byte nonce."""
+    return ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+
+
+def aead_open(key: bytes, nonce: bytes, body: bytes, aad: bytes) -> bytes:
+    """The plaintext of an ``aead_seal`` body; AuthFailureError when the
+    key, nonce or ``aad`` is wrong or the body was altered."""
+    try:
+        return ChaCha20Poly1305(key).decrypt(nonce, body, aad)
+    except InvalidTag as exc:
+        raise AuthFailureError("wrong key or tampered ciphertext") from exc
+
+
+def _agree(secret: X25519PrivateKey, peer: bytes, eph_pub: bytes, info: bytes,
+           length: int) -> bytes:
+    """HKDF-SHA256 over the X25519 secret of ``secret`` and ``peer``, salted
+    with the ephemeral public key. AuthFailureError for a peer key that is
+    not 32 bytes, or of low order, which gives no shared secret."""
+    if not isinstance(peer, bytes) or len(peer) != 32:
+        raise AuthFailureError("peer key must be 32 bytes")
+    try:
+        shared = secret.exchange(X25519PublicKey.from_public_bytes(peer))
+    except ValueError as exc:
+        raise AuthFailureError("peer key of low order") from exc
+    return HKDF(algorithm=SHA256(), length=length, salt=eph_pub, info=info).derive(shared)
+
+
+def ephemeral_agreement(pk: VerifyingKey, info: bytes, length: int = 32, rng=None):
+    """(ephemeral public key, ``length`` bytes under ``info``) from a fresh
+    X25519 key agreed with the encryption half of ``pk``; its holder
+    derives the same bytes with ``KeyHandle.derive``. Draws 32 bytes."""
+    eph = X25519PrivateKey.from_private_bytes(randomness(rng).randbytes(32))
+    eph_pub = eph.public_key().public_bytes_raw()
+    return eph_pub, _agree(eph, pk.enc_bytes, eph_pub, info, length)
 
 
 def encrypt_to(pk: VerifyingKey, plaintext: bytes, rng=None) -> PkCiphertext:
     """Randomized encryption to the encryption half of ``pk``."""
     source = randomness(rng)
-    eph = X25519PrivateKey.from_private_bytes(source.randbytes(32))
-    nonce = source.randbytes(12)
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(pk.enc_bytes))
-    eph_pub = eph.public_key().public_bytes_raw()
-    key = _derive_aead_key(shared, eph_pub)
-    body = ChaCha20Poly1305(key).encrypt(nonce, plaintext, eph_pub)
+    eph_pub, key = ephemeral_agreement(pk, _PKENC_INFO, rng=source)
+    nonce = source.randbytes(_NONCE_LEN)
+    body = aead_seal(key, nonce, plaintext, eph_pub)
     return PkCiphertext(ephemeral_pub=eph_pub, nonce=nonce, body=body)
-
-
-def _pk_decrypt(enc_key: X25519PrivateKey, ct: PkCiphertext) -> bytes:
-    if len(ct.ephemeral_pub) != 32 or len(ct.nonce) != 12:
-        raise AuthFailureError("malformed ciphertext")
-    try:
-        shared = enc_key.exchange(X25519PublicKey.from_public_bytes(ct.ephemeral_pub))
-        key = _derive_aead_key(shared, ct.ephemeral_pub)
-        return ChaCha20Poly1305(key).decrypt(ct.nonce, ct.body, ct.ephemeral_pub)
-    except (InvalidTag, ValueError) as exc:
-        raise AuthFailureError("wrong key or tampered ciphertext") from exc

@@ -20,39 +20,29 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-
 from . import canonical
 from .credentials import AppBinding, Status, VaccinationLevel
 from .crypto import (
     KeyHandle,
     PkCiphertext,
     VerifyingKey,
+    aead_open,
+    aead_seal,
     encrypt_to,
+    ephemeral_agreement,
     generate_keypair,
     randomness,
     sha256,
     sign_canonical,
     verify_canonical,
 )
-from .errors import (
-    AuthFailureError,
-    CanonicalError,
-    SessionStateError,
-    TrustFailureError,
-)
-from .verification import verify_status
+from .errors import AuthFailureError, CanonicalError, SessionStateError, TrustFailureError
+from .verification import first_match, key_list, verify_status
 
 _CODE_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
 CODE_LEN = 6
 _CHANNEL_AAD = b"vaxcred/channel/v1"
+_CHANNEL_INFO = b"vaxcred/channel-keys/v1"  # 64 bytes: holder->venue key, venue->holder key
 
 
 def render_code(k: int) -> str:
@@ -176,23 +166,13 @@ class SessionState(enum.Enum):
     CLOSED = "closed"
 
 
-def _derive_channel_keys(shared: bytes, eph_pub: bytes):
-    okm = HKDF(
-        algorithm=SHA256(),
-        length=64,
-        salt=eph_pub,
-        info=b"vaxcred/channel-keys/v1",
-    ).derive(shared)
-    return okm[:32], okm[32:]  # holder->venue, venue->holder
-
-
 class _Endpoint:
     """One end of the channel: separate AEAD keys per direction and
     counter nonces."""
 
     def __init__(self, send_key: bytes, recv_key: bytes):
-        self._send = ChaCha20Poly1305(send_key)
-        self._recv = ChaCha20Poly1305(recv_key)
+        self._send = send_key
+        self._recv = recv_key
         self._send_n = 0
         self._recv_n = 0
         self.state = SessionState.ESTABLISHED
@@ -206,15 +186,12 @@ class _Endpoint:
     def seal(self, plaintext: bytes) -> bytes:
         nonce = self._send_n.to_bytes(12, "big")
         self._send_n += 1
-        return self._send.encrypt(nonce, plaintext, _CHANNEL_AAD)
+        return aead_seal(self._send, nonce, plaintext, _CHANNEL_AAD)
 
     def open(self, frame: bytes) -> bytes:
         nonce = self._recv_n.to_bytes(12, "big")
         self._recv_n += 1
-        try:
-            return self._recv.decrypt(nonce, frame, _CHANNEL_AAD)
-        except InvalidTag as exc:
-            raise AuthFailureError("channel frame rejected") from exc
+        return aead_open(self._recv, nonce, frame, _CHANNEL_AAD)
 
     def close(self) -> None:
         self.state = SessionState.CLOSED
@@ -229,7 +206,8 @@ def open_channel(
     pinned_code=None,
     rng=None,
 ):
-    """Holder side: trust check, then ECDH. Returns (channel, hello bytes)."""
+    """Holder side: trust check, then ECDH. Returns (channel, hello bytes);
+    AuthFailureError for a channel key that gives no shared secret."""
     check_advertisement(
         adv,
         mode,
@@ -237,17 +215,15 @@ def open_channel(
         pinned_digest=pinned_digest,
         pinned_code=pinned_code,
     )
-    eph = X25519PrivateKey.from_private_bytes(randomness(rng).randbytes(32))
-    eph_pub = eph.public_key().public_bytes_raw()
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(adv.channel_key.enc_bytes))
-    to_venue, to_holder = _derive_channel_keys(shared, eph_pub)
-    channel = _Endpoint(send_key=to_venue, recv_key=to_holder)
+    eph_pub, keys = ephemeral_agreement(adv.channel_key, _CHANNEL_INFO, 64, rng)
+    channel = _Endpoint(send_key=keys[:32], recv_key=keys[32:])
     hello = canonical.encode({"eph": eph_pub, "venue": adv.venue_id})
     return channel, hello
 
 
 def accept_channel(identity: VenueIdentity, hello: bytes) -> _Endpoint:
-    """Venue side of the handshake."""
+    """Venue side of the handshake; AuthFailureError for an ephemeral key
+    that gives no shared secret."""
     obj = canonical.decode(hello)
     if not isinstance(obj, dict) or set(obj) != {"eph", "venue"}:
         raise CanonicalError("malformed channel hello")
@@ -256,9 +232,8 @@ def accept_channel(identity: VenueIdentity, hello: bytes) -> _Endpoint:
     eph_pub = obj["eph"]
     if not isinstance(eph_pub, bytes) or len(eph_pub) != 32:
         raise CanonicalError("bad ephemeral key")
-    shared = identity.handle.exchange(eph_pub)
-    to_venue, to_holder = _derive_channel_keys(shared, eph_pub)
-    return _Endpoint(send_key=to_holder, recv_key=to_venue)
+    keys = identity.handle.derive(eph_pub, _CHANNEL_INFO, 64)
+    return _Endpoint(send_key=keys[32:], recv_key=keys[:32])
 
 
 # -- rotating challenges ------------------------------------------------------
@@ -311,11 +286,7 @@ class VenueSession:
             channel.close()
             return GateDecision(False, "garbled"), None
         channel.state = SessionState.STATUS_RECEIVED
-        level = None
-        for vk in self.accepted_keys:
-            level = verify_status(vk, status)
-            if level is not None:
-                break
+        level = first_match(lambda vk: verify_status(vk, status), self.accepted_keys)
         if level is None:
             return GateDecision(False, "bad-signature"), None
         if level < self.required_level:
@@ -324,11 +295,14 @@ class VenueSession:
         if not isinstance(binding, AppBinding):
             return GateDecision(False, "no-holder-key"), None
         code = self.current_code(now)
-        boxed = encrypt_to(
-            binding.user_key,
-            canonical.encode({"code": code, "window": self._window(now)}),
-            rng=self.rng,
-        )
+        try:
+            boxed = encrypt_to(
+                binding.user_key,
+                canonical.encode({"code": code, "window": self._window(now)}),
+                rng=self.rng,
+            )
+        except AuthFailureError:  # a holder key of low order can receive nothing
+            return GateDecision(False, "no-holder-key"), None
         response = channel.seal(canonical.encode({"challenge": boxed.to_wire()}))
         channel.state = SessionState.CHALLENGE_SENT
         return GateDecision(True, "ok"), response
@@ -348,12 +322,12 @@ def venue_start(
     rotation_period: int = 60,
     rng=None,
 ) -> VenueSession:
-    keys = [accepted_keys] if isinstance(accepted_keys, VerifyingKey) else list(accepted_keys)
+    """A door session; EmptyRequestError when no issuer key is accepted."""
     if rotation_period <= 0:
         raise CanonicalError("rotation period must be positive")
     return VenueSession(
         identity=identity,
-        accepted_keys=keys,
+        accepted_keys=key_list(accepted_keys),
         required_level=required_level,
         rotation_period=rotation_period,
         rng=rng,

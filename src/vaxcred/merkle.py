@@ -15,13 +15,9 @@ import struct
 from dataclasses import dataclass
 
 from . import canonical
+from .credentials import pii_pairs
 from .crypto import DIGEST_LEN, SALT_LEN, TAG_LEAF, TAG_NODE, new_salt, tagged_hash
-from .errors import (
-    CanonicalError,
-    DuplicateLabelError,
-    EmptyRequestError,
-    UnknownLabelError,
-)
+from .errors import CanonicalError, EmptyRequestError, UnknownLabelError
 
 
 def leaf_digest(label: str, value: str, salt: bytes) -> bytes:
@@ -71,12 +67,8 @@ class PiiTree:
     def from_leaves(cls, leaves) -> "PiiTree":
         """Rebuild the level table from stored (label, value, salt) triples."""
         leaves = tuple((str(l), str(v), bytes(s)) for l, v, s in leaves)
-        if not leaves:
-            raise EmptyRequestError("tree needs at least one leaf")
-        labels = [l for l, _, _ in leaves]
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabelError("leaf labels must be unique")
-        if list(labels) != sorted(labels):
+        pairs = tuple((l, v) for l, v, _ in leaves)
+        if pii_pairs(pairs) != pairs:
             raise CanonicalError("leaves must be sorted by label")
         level = [leaf_digest(l, v, s) for l, v, s in leaves]
         levels = [tuple(level)]
@@ -93,15 +85,7 @@ class PiiTree:
 
 def build_pii_tree(entries, rng=None) -> PiiTree:
     """Commit to (label, value) pairs with a fresh random salt per leaf."""
-    entries = list(entries)
-    if not entries:
-        raise EmptyRequestError("no entries to commit to")
-    labels = [label for label, _ in entries]
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabelError("duplicate PII label")
-    ordered = sorted(entries, key=lambda kv: kv[0])
-    leaves = [(label, value, new_salt(rng)) for label, value in ordered]
-    return PiiTree.from_leaves(leaves)
+    return PiiTree.from_leaves((l, v, new_salt(rng)) for l, v in pii_pairs(entries))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ lock, after applying what the others appended, so one still wins.
 
 A coupon is registered with a digest of its signature; signing is
 deterministic, so a coupon matching id and digest is the one the issuer
-signed. An entry from a log that predates digests matches nothing.
+signed. A batch is one ``register`` record, so a crash registers all of
+it or none. Older logs hold one record per coupon; the oldest carry no
+digest, and their entries match nothing.
 
 Retries are recognized by request digest: a transition replayed with the
 digest already on file is a no-op success instead of a double-use error.
@@ -117,8 +119,13 @@ class Registry:
             self._entries.clear()
             self._dismantled = True
             return
+        if op == "register" and "coupons" in record:
+            raw = bytes.fromhex(record["coupons"])  # id || signature digest, per coupon
+            for at in range(0, len(raw), 64):
+                self._entries.setdefault(raw[at:at + 32], _Entry(raw[at + 32:at + 64]))
+            return
         cid = bytes.fromhex(record["cid"])
-        if op == "register":
+        if op == "register":  # one coupon, from a log that predates batches
             sig = record.get("sig_digest")
             self._entries.setdefault(cid, _Entry(bytes.fromhex(sig) if sig else None))
             return
@@ -191,8 +198,8 @@ class Registry:
         self.register_many([(coupon_id, sig_digest)])
 
     def register_many(self, coupons) -> None:
-        """Register (coupon id, signature digest) pairs as unused, with one
-        log write and one fsync for all of them. An id already known, or
+        """Register (coupon id, signature digest) pairs as unused, in one
+        log record with one write and one fsync. An id already known, or
         given twice, refuses the whole batch before anything is written:
         re-issuing a coupon would hand out one that may be spent."""
         coupons = list(coupons)
@@ -206,10 +213,8 @@ class Registry:
             self._guard()
             if len(set(ids)) != len(ids) or not self._entries.keys().isdisjoint(ids):
                 raise InvalidTransitionError("batch names a coupon already registered")
-            self._commit(
-                [{"cid": c.hex(), "date": None, "op": "register", "sig_digest": d.hex()}
-                 for c, d in coupons]
-            )
+            self._commit([{"coupons": b"".join(c + d for c, d in coupons).hex(),
+                           "op": "register"}])
 
     def mark_used(
         self,

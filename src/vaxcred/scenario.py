@@ -13,10 +13,10 @@ malformed script itself raises.
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import random
 from dataclasses import dataclass, field
 
+from . import durable
 from .config import DOSE_INTERVAL_DAYS
 from .coupons import (
     DistributorBatch,
@@ -81,7 +81,7 @@ class TranscriptLog:
         self.events.append(entry)
 
     def to_text(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.events)
+        return durable.dump_lines(self.events).decode()
 
     @property
     def rejections(self) -> list:

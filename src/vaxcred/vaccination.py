@@ -36,6 +36,7 @@ from .credentials import (
     TreeRoot,
     parse_date,
     pii_commitment,
+    pii_pairs,
     status_for,
 )
 from .crypto import KeyHandle, VerifyingKey, new_salt, sha256
@@ -46,22 +47,9 @@ from .errors import (
     CanonicalError,
     MismatchError,
     ProductMismatchError,
-    VaxError,
     WrongStateError,
 )
 from .registry import CouponState, Registry, Stage
-
-
-@dataclass(frozen=True)
-class AdmitDecision:
-    admitted: bool
-    reason: str  # "ok" | "bad-signature" | "unknown-coupon" | "already-used" | "dismantled"
-
-    OK = "ok"
-    BAD_SIGNATURE = "bad-signature"
-    UNKNOWN = "unknown-coupon"
-    ALREADY_USED = "already-used"
-    DISMANTLED = "dismantled"
 
 
 def _genuine_state(vk_issuer: VerifyingKey, registry: Registry, coupon) -> Optional[CouponState]:
@@ -76,24 +64,13 @@ def _genuine_state(vk_issuer: VerifyingKey, registry: Registry, coupon) -> Optio
     return None
 
 
-def _check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None:
+def check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None:
     """Raise the typed error that bars a first dose on ``coupon``:
-    BadCouponError, UnknownCouponError, DismantledError or AlreadyUsedError."""
+    BadCouponError, UnknownCouponError, DismantledError or AlreadyUsedError.
+    The error's code is the refusal, as ``pharmacy admit`` prints it."""
     state = _genuine_state(vk_issuer, registry, coupon) or registry.check(coupon.coupon_id)
     if state.is_used:
         raise AlreadyUsedError(coupon.coupon_id.hex())
-
-
-def pharmacy_admit(vk_issuer: VerifyingKey, registry: Registry, coupon) -> AdmitDecision:
-    """Total admission check for a first dose: never raises. The reason is
-    the error code, but a bad coupon reads "bad-signature"."""
-    try:
-        _check_admission(vk_issuer, registry, coupon)
-    except BadCouponError:
-        return AdmitDecision(False, AdmitDecision.BAD_SIGNATURE)
-    except VaxError as exc:
-        return AdmitDecision(False, exc.code)
-    return AdmitDecision(True, AdmitDecision.OK)
 
 
 def signing_request(badge_bytes: bytes, status_bytes: bytes):
@@ -173,7 +150,7 @@ class PharmacySession:
     def _admit_first(self, coupon: Coupon, dose: DoseInfo) -> None:
         """Admission, dose number and date checks of a first dose; they
         run before anything is drawn from the rng."""
-        _check_admission(self.vk_issuer, self.registry, coupon)
+        check_admission(self.vk_issuer, self.registry, coupon)
         if dose.dose_number != 1:
             raise WrongStateError("first visit must record dose number 1")
         self._check_date(dose)
@@ -188,7 +165,7 @@ class PharmacySession:
     def issue_credentials_paper(self, coupon: Coupon, dose: DoseInfo, pii):
         """First dose, paper wallet: returns (badge, status, passkey)."""
         self._admit_first(coupon, dose)
-        pii = tuple(sorted(((str(l), str(v)) for l, v in pii), key=lambda kv: kv[0]))
+        pii = pii_pairs(pii)
         salt = new_salt(self.rng)
         commitment = Commitment(pii_commitment(pii, salt))
         badge_info = BadgeInfo(dose_history=(dose,), coupon=coupon, binding=commitment)

@@ -18,14 +18,13 @@ from .credentials import (
     Badge,
     BadgeInfo,
     Commitment,
-    Passkey,
     PasskeyHash,
     Status,
     TreeRoot,
     VaccinationLevel,
 )
 from .crypto import VerifyingKey
-from .errors import EmptyRequestError, VariantError
+from .errors import EmptyRequestError
 from .merkle import verify_disclosure
 from .wallet import Presentation, PresentationKind
 
@@ -43,22 +42,6 @@ def verify_status(vk: VerifyingKey, status) -> Optional[VaccinationLevel]:
     if not isinstance(status, Status) or not status.verify(vk):
         return None
     return status.payload.level
-
-
-def verify_passkey_binding(credential, passkey) -> bool:
-    """Does this passkey open the commitment carried by a badge or status?
-
-    Raises VariantError for app-variant bindings (there is no passkey);
-    otherwise total."""
-    if isinstance(credential, Badge):
-        binding = credential.info.binding
-    elif isinstance(credential, Status):
-        binding = credential.payload.binding
-    else:
-        return False
-    if isinstance(binding, (TreeRoot, AppBinding)):
-        raise VariantError("app credentials have no passkey to check")
-    return isinstance(passkey, Passkey) and passkey.commitment() == binding.digest
 
 
 @dataclass(frozen=True)
@@ -79,18 +62,18 @@ def verify_presentation(keys, presentation, required_labels=()) -> object:
     For disclosure presentations every required label must be proven.
     """
     try:
-        accepted = _key_list(keys)
+        accepted = key_list(keys)
         if not isinstance(presentation, Presentation):
             return Reject("malformed")
         kind = presentation.kind
 
         if kind is PresentationKind.BADGE_ONLY:
-            info = _first(lambda vk: verify_badge(vk, presentation.badge), accepted)
+            info = first_match(lambda vk: verify_badge(vk, presentation.badge), accepted)
             if info is None:
                 return Reject("bad-signature")
             return Verdict(level=info.level)
 
-        level = _first(lambda vk: verify_status(vk, presentation.status), accepted)
+        level = first_match(lambda vk: verify_status(vk, presentation.status), accepted)
         if level is None:
             return Reject("bad-signature")
         binding = presentation.status.payload.binding
@@ -122,7 +105,9 @@ def verify_presentation(keys, presentation, required_labels=()) -> object:
         return Reject("malformed")
 
 
-def _key_list(keys):
+def key_list(keys) -> list:
+    """The accepted issuer keys: one VerifyingKey or a non-empty sequence
+    of them; EmptyRequestError for none."""
     if isinstance(keys, VerifyingKey):
         return [keys]
     out = list(keys)
@@ -131,7 +116,8 @@ def _key_list(keys):
     return out
 
 
-def _first(fn, keys):
+def first_match(fn, keys):
+    """``fn(vk)`` for the first accepted key that gives a result, else None."""
     for vk in keys:
         result = fn(vk)
         if result is not None:

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -151,11 +153,24 @@ def test_distributor_url_form(capsys, env):
     _issue_batch(capsys, env, n=1)
     code, out, _ = run(
         capsys, "distributor", "give", "--batch", str(env / "batch.txt"),
+        "--state", str(env / "handed.json"),
         "--subject", "S1", "--zip", "02139", "--job", "healthcare", "--url",
     )
     assert code == 0
     url = out.strip()
     assert url.startswith("vax://c/") and len(url) <= 256
+
+
+def test_distributor_needs_its_state(capsys, env):
+    """Without a journal of what was handed out, every `give` would hand
+    out the first coupon again: the flag is required."""
+    _issue_batch(capsys, env, n=2)
+    with pytest.raises(SystemExit) as exited:
+        run(capsys, "distributor", "give", "--batch", str(env / "batch.txt"),
+            "--subject", "S1", "--zip", "02139", "--job", "healthcare")
+    assert exited.value.code != 0
+    out, err = capsys.readouterr()
+    assert "CPN1:" not in out and "--state" in err
 
 
 def _vaccinate_paper(capsys, env, coupon_line):
@@ -487,7 +502,7 @@ def test_health_report_needs_the_coupon_not_its_payload(capsys, env):
     assert code == 2 and "rejected" in out and not store.exists()
     code, out, _ = run(capsys, "pharmacy", "admit", "--coupon", junk,
                        "--issuer-pub", "@" + str(env / "issuer.key.pub"))
-    assert code == 2 and out.strip() == "reject: bad-signature"
+    assert code == 2 and out.strip() == "reject: bad-coupon"
     code, out, _ = run(capsys, *report, batch[0])
     assert code == 0 and "accepted" in out
     record = json.loads(store.read_text())
@@ -516,3 +531,36 @@ def test_exit_codes(capsys, env, tmp_path):
         "--issuer-pub", "00" * 64,
     )
     assert code == 2 and "error (" in err
+
+
+def _readme_commands() -> list:
+    """The argv of each `vaxcred` line in the README's sh blocks, with
+    continuation lines joined and redirections and `&` dropped; a line
+    that elides arguments with `...` is skipped."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = []
+    for line in lines.splitlines():
+        if not line.lstrip().startswith("vaxcred ") or "..." in line:
+            continue
+        argv, words = [], shlex.split(line, comments=True)[1:]
+        while words:
+            word = words.pop(0)
+            if word in (">", ">>", "<", "2>"):
+                words.pop(0)  # the redirection's target
+            elif word != "&":
+                argv.append(word)
+        commands.append(argv)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "issuer", "distributor", "pharmacy", "user", "venue", "health", "sim"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: vaxcred {' '.join(argv)}")

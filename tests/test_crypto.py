@@ -21,6 +21,7 @@ from vaxcred.crypto import (
     PkCiphertext,
     VerifyingKey,
     encrypt_to,
+    ephemeral_agreement,
     generate_keypair,
     new_salt,
     salted_hash,
@@ -158,11 +159,14 @@ def test_ciphertext_never_contains_plaintext(rng):
 
 
 def test_exchange_agrees_both_directions(rng):
-    h1, vk1 = generate_keypair(rng)
-    h2, vk2 = generate_keypair(rng)
-    assert h1.exchange(vk2.enc_bytes) == h2.exchange(vk1.enc_bytes)
+    """Sender and holder derive the same bytes under one label, and
+    different bytes under another; the holder never sees the raw secret."""
+    handle, vk = generate_keypair(rng)
+    eph_pub, key = ephemeral_agreement(vk, b"label/a", 64, rng)
+    assert handle.derive(eph_pub, b"label/a", 64) == key
+    assert handle.derive(eph_pub, b"label/b", 64) != key
     with pytest.raises(AuthFailureError):
-        h1.exchange(b"short")
+        handle.derive(b"short", b"label/a")
 
 
 def test_salted_hash_oracle():

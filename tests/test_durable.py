@@ -173,14 +173,14 @@ def test_crash_during_a_dose(tmp_path):
 
 
 def test_crash_during_a_batch(tmp_path):
-    """An acknowledged batch is registered whole. A batch torn by a crash
-    in its one write, never acknowledged, may leave a prefix registered."""
+    """A batch is registered whole or not at all, and whole once
+    acknowledged: a crash in its one write leaves none of it."""
     fresh = [cid for cid, _ in _coupons(5)[2:]]
 
     def check(where, acked):
         with Registry(where / "reg.log") as reg:
             known = [reg.known(cid) for cid in fresh]
-            assert known == sorted(known, reverse=True) and (all(known) or not acked)
+            assert all(known) or (not any(known) and not acked)
             assert len(reg) == 2 + sum(known)
 
     _crash_every_step(

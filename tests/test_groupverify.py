@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from vaxcred import canonical
 from vaxcred.coupons import issue_coupon_batch
-from vaxcred.credentials import DoseInfo, VaccinationLevel
-from vaxcred.crypto import generate_keypair
+from vaxcred.credentials import AppBinding, DoseInfo, Status, StatusPayload, VaccinationLevel
+from vaxcred.crypto import VerifyingKey, encrypt_to, generate_keypair
 from vaxcred.errors import (
     AuthFailureError,
+    EmptyRequestError,
     SessionStateError,
     TrustFailureError,
     VaxError,
@@ -113,6 +115,41 @@ def test_honest_vaccinated_admitted(issuer, issuer_key, registry, rng, venue, ga
     code = receive_challenge(channel, wallet.key, response)
     assert len(code) == 6 and set(code) <= set("ABCDEFGHIJKLMNOPQRSTUVWXYZ234567")
     assert gate.guard_check(code, 1005.0)
+
+
+LOW_ORDER = bytes(32)  # an X25519 point of low order: it gives no shared secret
+
+
+@pytest.mark.parametrize("place", ["hello", "advertisement", "encrypt-to", "holder-key"])
+def test_hostile_keys_get_typed_errors(place, issuer, issuer_key, rng, venue, gate):
+    """A low-order key is an AuthFailureError wherever a key is agreed
+    with, and the door, which never raises on bad input, refuses a status
+    whose holder key can receive nothing."""
+    hostile = VerifyingKey(issuer_key.sig_bytes + LOW_ORDER)
+    if place == "hello":
+        hello = canonical.encode({"eph": LOW_ORDER, "venue": venue.venue_id})
+        with pytest.raises(AuthFailureError):
+            accept_channel(venue, hello)
+    elif place == "advertisement":
+        adv = VenueAdvertisement(venue_id="V-TEST", channel_key=hostile, cert=b"")
+        with pytest.raises(AuthFailureError):
+            open_channel(adv, TrustMode.QR_PINNED, pinned_digest=adv.cert_digest(), rng=rng)
+    elif place == "encrypt-to":
+        with pytest.raises(AuthFailureError):
+            encrypt_to(hostile, b"code", rng=rng)
+    else:
+        payload = StatusPayload(level=VaccinationLevel.FULLY, date="2021-02-22",
+                                binding=AppBinding(user_key=hostile, pii_root=bytes(32)))
+        channel, hello = open_channel(venue.advertisement, TrustMode.ISSUER_SIGNED,
+                                      issuer_key=issuer_key, rng=rng)
+        frame = submit_status(channel, Status.sign(issuer, payload))
+        decision, response = gate.process_status(accept_channel(venue, hello), frame, 1000.0)
+        assert (decision.accepted, decision.reason, response) == (False, "no-holder-key", None)
+
+
+def test_venue_start_refuses_no_accepted_keys(venue):
+    with pytest.raises(EmptyRequestError):
+        venue_start(venue, [])
 
 
 def test_unvaccinated_rejected(issuer, issuer_key, registry, rng, venue, gate):

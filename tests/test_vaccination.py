@@ -34,13 +34,8 @@ from vaxcred.errors import (
 from vaxcred.merkle import build_pii_tree
 from vaxcred.registry import Registry, Stage
 from vaxcred.service import SigningClient, encode_request, handle_request_bytes
-from vaxcred.vaccination import (
-    AdmitDecision,
-    BadgeIssuer,
-    PharmacySession,
-    pharmacy_admit,
-)
-from vaxcred.verification import verify_badge, verify_passkey_binding, verify_status
+from vaxcred.vaccination import BadgeIssuer, PharmacySession, check_admission
+from vaxcred.verification import verify_badge, verify_status
 
 PII = [("dob", "1962-11-30"), ("name", "Sam Example")]
 
@@ -65,14 +60,13 @@ def coupon(issuer, registry):
 
 
 def test_admit_ok(issuer_key, registry, coupon):
-    decision = pharmacy_admit(issuer_key, registry, coupon)
-    assert decision.admitted and decision.reason == AdmitDecision.OK
+    check_admission(issuer_key, registry, coupon)
 
 
 def test_admit_rejects_unknown(issuer, issuer_key, registry):
     stray = issue_coupon_batch(issuer, 1, "02139", "healthcare")[0]  # not registered
-    decision = pharmacy_admit(issuer_key, registry, stray)
-    assert not decision.admitted and decision.reason == AdmitDecision.UNKNOWN
+    with pytest.raises(UnknownCouponError):
+        check_admission(issuer_key, registry, stray)
 
 
 def test_admit_rejects_bad_signature(issuer_key, registry, coupon):
@@ -80,21 +74,22 @@ def test_admit_rejects_bad_signature(issuer_key, registry, coupon):
         payload=CouponPayload(index=5, zip_code="02139", job_type="healthcare"),
         signature=coupon.signature,
     )
-    decision = pharmacy_admit(issuer_key, registry, forged)
-    assert not decision.admitted and decision.reason == AdmitDecision.BAD_SIGNATURE
+    with pytest.raises(BadCouponError):
+        check_admission(issuer_key, registry, forged)
 
 
 def test_admit_rejects_used(issuer_key, registry, coupon, session):
     session.issue_credentials_paper(coupon, _dose(), PII)
-    decision = pharmacy_admit(issuer_key, registry, coupon)
-    assert not decision.admitted and decision.reason == AdmitDecision.ALREADY_USED
+    with pytest.raises(AlreadyUsedError):
+        check_admission(issuer_key, registry, coupon)
     # but a dose-1 holder coming back for dose 2 is not "admission": that
     # path goes through second_dose below
 
 
-def test_admit_never_raises(issuer_key, registry):
-    assert not pharmacy_admit(issuer_key, registry, "garbage").admitted
-    assert not pharmacy_admit(issuer_key, registry, None).admitted
+def test_admit_refuses_garbage_as_a_bad_coupon(issuer_key, registry):
+    for garbage in ("garbage", None):
+        with pytest.raises(BadCouponError):
+            check_admission(issuer_key, registry, garbage)
 
 
 REFUSALS = {"forged": "bad-coupon", "bit-flip": "bad-coupon", "other-key": "bad-coupon",
@@ -104,9 +99,8 @@ REFUSALS = {"forged": "bad-coupon", "bit-flip": "bad-coupon", "other-key": "bad-
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_admission_and_first_dose_refuse_alike(case, issuer, issuer_key, registry,
                                                coupon, session, rng):
-    """pharmacy_admit's reason is the code of the error a first dose
-    raises on the same coupon, but a bad coupon reads "bad-signature";
-    the issuer, sent the signing frame, replies with that code too."""
+    """check_admission raises the error a first dose raises on the same
+    coupon; the issuer, sent the signing frame, replies with its code too."""
     if case == "forged":
         coupon = Coupon(payload=CouponPayload(index=9, zip_code="02139",
                                               job_type="healthcare"),
@@ -122,20 +116,15 @@ def test_admission_and_first_dose_refuse_alike(case, issuer, issuer_key, registr
         session.issue_credentials_paper(coupon, _dose(), PII)
     else:
         registry.dismantle(administrative=True)
-    decision = pharmacy_admit(issuer_key, registry, coupon)
+    with pytest.raises(VaxError) as refused:
+        check_admission(issuer_key, registry, coupon)
     with pytest.raises(VaxError) as raised:
         session.issue_credentials_paper(coupon, _dose(), PII)
     info = BadgeInfo(binding=Commitment(pii_commitment(PII, new_salt(rng))), coupon=coupon,
                      dose_history=(_dose(),))
     reply = canonical.decode(handle_request_bytes(
         BadgeIssuer(issuer, registry), encode_request(info, status_for(info, None))))
-    assert not decision.admitted
-    assert raised.value.code == reply["error"] == REFUSALS[case]
-    if case in ("forged", "bit-flip", "other-key"):
-        assert decision.reason == AdmitDecision.BAD_SIGNATURE
-        assert isinstance(raised.value, BadCouponError)
-    else:
-        assert decision.reason == raised.value.code
+    assert refused.value.code == raised.value.code == reply["error"] == REFUSALS[case]
 
 
 @pytest.fixture
@@ -164,9 +153,10 @@ def test_old_log_entry_admits_by_verify(issuer, issuer_key, rng, tmp_path, verif
     path.write_text(json.dumps({"cid": coupon.coupon_id.hex(), "date": None,
                                 "op": "register", "seq": 1}) + "\n")
     with Registry(path) as registry:
-        assert pharmacy_admit(issuer_key, registry, coupon).admitted
+        check_admission(issuer_key, registry, coupon)
         forged = Coupon(payload=coupon.payload, signature=bytes(64))
-        assert pharmacy_admit(issuer_key, registry, forged).reason == "bad-signature"
+        with pytest.raises(BadCouponError):
+            check_admission(issuer_key, registry, forged)
         session = PharmacySession(vk_issuer=issuer_key, registry=registry,
                                   signer=BadgeIssuer(issuer, registry), rng=rng)
         del verifies[:]
@@ -181,8 +171,8 @@ def test_paper_issue_round(issuer_key, registry, coupon, session):
     assert parsed is not None
     assert parsed.level is VaccinationLevel.DOSE1
     assert verify_status(issuer_key, status) is VaccinationLevel.DOSE1
-    assert verify_passkey_binding(badge, passkey)
-    assert verify_passkey_binding(status, passkey)
+    assert passkey.commitment() == badge.info.binding.digest
+    assert passkey.commitment() == status.payload.binding.digest
     assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
     # bindings agree between badge and status
     assert isinstance(badge.info.binding, Commitment)
@@ -300,8 +290,8 @@ def test_second_dose_paper(issuer_key, registry, coupon, session):
     assert len(badge2.info.dose_history) == 2
     assert verify_status(issuer_key, status2) is VaccinationLevel.FULLY
     # the original passkey still opens the refreshed credentials
-    assert verify_passkey_binding(badge2, passkey)
-    assert verify_passkey_binding(status2, passkey)
+    assert passkey.commitment() == badge2.info.binding.digest
+    assert passkey.commitment() == status2.payload.binding.digest
     assert registry.check(coupon.coupon_id).stage is Stage.DOSE2
 
 
