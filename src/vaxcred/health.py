@@ -220,9 +220,9 @@ def add_dp_noise(
     sensitivity: float = 1.0,
     rng=None,
 ) -> AggregateResult:
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise NoiseParameterError(f"epsilon must be positive, got {epsilon}")
-    if sensitivity <= 0:
+    if not sensitivity > 0:
         raise NoiseParameterError(f"sensitivity must be positive, got {sensitivity}")
     if agg.noised:
         raise WrongStateError("aggregate already carries noise")

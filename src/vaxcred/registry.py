@@ -110,8 +110,13 @@ class Registry:
 
     def _replay(self, records) -> None:
         for record in records:
-            self._apply(record)
-            self._seq = max(self._seq, int(record.get("seq", 0)))
+            if not isinstance(record, dict) or type(record.get("seq", 0)) is not int:
+                raise CanonicalError("malformed registry record")
+            try:
+                self._apply(record)
+            except (KeyError, TypeError, ValueError):  # a field missing, mistyped or not hex
+                raise CanonicalError("malformed registry record") from None
+            self._seq = max(self._seq, record.get("seq", 0))
 
     def _apply(self, record: dict) -> None:
         op = record.get("op")
@@ -121,6 +126,8 @@ class Registry:
             return
         if op == "register" and "coupons" in record:
             raw = bytes.fromhex(record["coupons"])  # id || signature digest, per coupon
+            if len(raw) % 64:
+                raise CanonicalError("registry record holds part of a coupon")
             for at in range(0, len(raw), 64):
                 self._entries.setdefault(raw[at:at + 32], _Entry(raw[at + 32:at + 64]))
             return
@@ -130,13 +137,13 @@ class Registry:
             self._entries.setdefault(cid, _Entry(bytes.fromhex(sig) if sig else None))
             return
         if op in ("dose1", "dose2"):
-            req = record.get("req")
+            req = bytes.fromhex(record["req"]) if record.get("req") else None
             entry = self._entries.setdefault(cid, _Entry(None))
             entry.stage, entry.date = Stage(op), record.get("date")
             if req and op == "dose1":
-                entry.req1 = bytes.fromhex(req)
+                entry.req1 = req
             elif req:
-                entry.req2 = bytes.fromhex(req)
+                entry.req2 = req
             return
         raise CanonicalError(f"unknown registry record op {op!r}")
 

@@ -11,19 +11,18 @@ recognizes the repeated digest as a retry, so the registry moves at most
 once and the signatures are the same. A failed connect, or a failed
 re-send, surfaces as ServiceUnreachableError.
 
-The server closes a connection that sends no frame for _IDLE_TIMEOUT
-seconds and keeps at most _MAX_CONNECTIONS connections. At the cap, a new
-connection takes the place of the one idle longest, whose client re-sends
-the request it is on or its next one; a connection is idle from the moment
-its reply is ready. Only when every connection is serving a request is
-the new one closed before any frame is read. The server closes its live
-connections when it is closed.
+The server is one selector loop on one thread. A connection holds its
+unread bytes and a deadline: its next whole frame must arrive within
+_IDLE_TIMEOUT of its connect or last reply, which closes idle and
+byte-dripping peers alike. Each frame gets one non-blocking send; a peer
+that does not take it all is closed. At _MAX_CONNECTIONS, a new
+connection replaces the one whose deadline is nearest, whose client re-sends.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -33,16 +32,14 @@ from .credentials import BadgeInfo, StatusPayload
 from .errors import CanonicalError, ServiceUnreachableError, VaxError
 from .vaccination import BadgeIssuer, signing_request
 
-_MAX_FRAME = 1 << 20  # 1 MiB is far beyond any legitimate request
-_IDLE_TIMEOUT = 60.0  # seconds a server connection may wait for its next frame
+_MAX_FRAME = 1 << 16  # 64 KiB; a signing request is about 0.5 KiB
+_IDLE_TIMEOUT = 60.0  # seconds a server connection has for its next whole frame
 _CLIENT_TIMEOUT = 5.0  # seconds a client waits on a connect, a send or a reply
-# connections kept, each with its handler thread; a round number, not
-# sized from a measured count of pharmacy counters
-_MAX_CONNECTIONS = 32
+_MAX_CONNECTIONS = 256  # so at most 16 MiB of unread frames are held
 
 
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
+def _frame(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
 
 
 def _recv_exact(rfile, n: int) -> bytes:
@@ -89,98 +86,92 @@ def handle_request_bytes(issuer: BadgeIssuer, data: bytes) -> bytes:
     return canonical.encode({"ok": True, "sb": sig_badge, "ss": sig_status})
 
 
-class SigningServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class SigningServer:
+    """Serves signing requests from one selector loop on a thread it starts."""
 
     def __init__(self, address, issuer: BadgeIssuer):
         self.issuer = issuer
-        # live connection -> when it last went idle (monotonic), or None
-        # while it serves a request
-        self._live = {}
-        self._live_lock = threading.Lock()
-        super().__init__(address, _Handler)
+        self._listener = socket.create_server(address)
+        self.server_address = self._listener.getsockname()
+        self.port = self.server_address[1]
+        self._wake_r, self._wake_w = socket.socketpair()  # shutdown() writes to it
+        self._live = {}  # connection -> [unread bytes, deadline (monotonic)]
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake_r):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
+    def _run(self) -> None:
+        while True:
+            deadline = min((d for _, d in self._live.values()), default=None)
+            timeout = None if deadline is None else deadline - time.monotonic()
+            for key, _ in self._selector.select(timeout):
+                if key.fileobj is self._wake_r:
+                    return
+                if key.fileobj is self._listener:
+                    self._accept()
+                elif key.fileobj in self._live:  # not closed earlier in this round
+                    self._read(key.fileobj)
+            for sock in [s for s, (_, d) in self._live.items() if d <= time.monotonic()]:
+                self._close(sock)
 
-    def verify_request(self, request, client_address) -> bool:
-        """Admit a connection. At _MAX_CONNECTIONS, close the one idle
-        longest to make room; if every one is serving a request, refuse
-        the new one, which is then closed unread."""
-        with self._live_lock:
-            if len(self._live) >= _MAX_CONNECTIONS:
-                idle = [sock for sock, since in self._live.items() if since is not None]
-                if not idle:
-                    return False
-                oldest = min(idle, key=self._live.__getitem__)
-                del self._live[oldest]
-                _wake(oldest)
-            self._live[request] = time.monotonic()
-            return True
+    def _accept(self) -> None:
+        """Admit a connection, at the cap in place of the one whose deadline is nearest."""
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # the peer left before it was accepted
+        if len(self._live) >= _MAX_CONNECTIONS:
+            self._close(min(self._live, key=lambda s: self._live[s][1]))
+        sock.setblocking(False)
+        self._live[sock] = [bytearray(), time.monotonic() + _IDLE_TIMEOUT]
+        self._selector.register(sock, selectors.EVENT_READ)
 
-    def _begin(self, request) -> bool:
-        """Mark a connection busy; False if it was closed to make room."""
-        with self._live_lock:
-            if request not in self._live:
-                return False
-            self._live[request] = None
-            return True
+    def _read(self, sock: socket.socket) -> None:
+        """Take what the peer sent and answer each whole frame in it."""
+        buf = self._live[sock][0]
+        try:
+            chunk = sock.recv(_MAX_FRAME + 4 - len(buf))  # buf stays within one largest frame
+            if not chunk:
+                raise ConnectionError("peer closed")
+            buf += chunk
+            while len(buf) >= 4:
+                (length,) = struct.unpack_from(">I", buf)
+                if length > _MAX_FRAME:
+                    raise ConnectionError(f"frame of {length} bytes exceeds limit")
+                if len(buf) < 4 + length:
+                    return
+                reply = _frame(handle_request_bytes(self.issuer, bytes(buf[4:4 + length])))
+                del buf[:4 + length]
+                if sock.send(reply) < len(reply):
+                    raise ConnectionError("peer is not reading its replies")
+                self._live[sock][1] = time.monotonic() + _IDLE_TIMEOUT
+        except OSError:
+            self._close(sock)
 
-    def _end(self, request) -> None:
-        with self._live_lock:
-            self._live[request] = time.monotonic()
+    def _close(self, sock: socket.socket) -> None:
+        del self._live[sock]
+        self._selector.unregister(sock)
+        sock.close()
 
-    def shutdown_request(self, request) -> None:
-        with self._live_lock:
-            self._live.pop(request, None)
-        super().shutdown_request(request)
+    def shutdown(self) -> None:
+        """Stop the loop and wait for it to return."""
+        self._wake_w.send(b"\0")
+        self._thread.join()
 
     def server_close(self) -> None:
-        """Close the listener and every live connection, then wait for the
-        handler threads. Call after shutdown()."""
-        with self._live_lock:
-            for sock in self._live:
-                _wake(sock)
-        super().server_close()
-
-
-def _wake(sock: socket.socket) -> None:
-    """End a server connection; its handler, blocked in recv, sees EOF."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # the peer is already gone
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    timeout = _IDLE_TIMEOUT  # setup() puts it on the socket as the read timeout
-
-    def handle(self):
-        server = self.server
-        try:
-            while True:
-                data = _recv_frame(self.rfile)
-                if not server._begin(self.request):
-                    return  # closed to make room; the client re-sends
-                try:
-                    response = handle_request_bytes(server.issuer, data)
-                finally:
-                    server._end(self.request)  # idle before the reply leaves
-                _send_frame(self.request, response)
-        except (OSError, CanonicalError):
-            # the client went away, idled out or sent an oversized frame,
-            # or the server is closing
-            return
+        """Close the listener and every live connection. Call after shutdown()."""
+        self._selector.close()
+        for sock in [*self._live, self._listener, self._wake_r, self._wake_w]:
+            sock.close()
+        self._live.clear()
 
 
 def serve(issuer: BadgeIssuer, host: str = "127.0.0.1", port: int = 0) -> SigningServer:
     """Start a signing server on a background thread; caller shuts it down."""
-    server = SigningServer((host, port), issuer)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    return SigningServer((host, port), issuer)
 
 
 class SigningClient:
@@ -218,7 +209,7 @@ class SigningClient:
                 if self._sock is None:
                     self._sock = socket.create_connection((self.host, self.port), _CLIENT_TIMEOUT)
                     self._rfile = self._sock.makefile("rb")
-                _send_frame(self._sock, request)
+                self._sock.sendall(_frame(request))
                 return _recv_frame(self._rfile)
             except OSError as exc:
                 connected = self._sock is not None

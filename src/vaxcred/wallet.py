@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from . import canonical, durable
+from . import canonical, config, durable
 from .credentials import (
     Badge,
     Commitment,
@@ -216,7 +216,7 @@ def present(state: WalletState, kind: PresentationKind,
     raise CanonicalError(f"unknown presentation kind {kind!r}")
 
 
-def second_dose_due(state: WalletState, today, interval_days: int = 21):
+def second_dose_due(state: WalletState, today, interval_days: int = config.DOSE_INTERVAL_DAYS):
     """(due?, days since dose 1). Raises if the course is complete or empty."""
     if state.badge is None:
         raise MissingCredentialError("no badge in wallet")

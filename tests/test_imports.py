@@ -1,6 +1,7 @@
 """Each module imports on its own, in a fresh interpreter, so that no
 import cycle hides behind the order in which another module loads them;
-and only ``crypto`` imports the ``cryptography`` package."""
+only ``crypto`` imports the ``cryptography`` package, and ``service``
+imports neither ``socketserver`` nor ``asyncio``."""
 
 import ast
 import os
@@ -26,7 +27,7 @@ def test_module_imports_on_its_own(module):
     assert done.returncode == 0, done.stderr
 
 
-def _imports_cryptography(tree) -> bool:
+def _imports(tree, package: str) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -34,18 +35,29 @@ def _imports_cryptography(tree) -> bool:
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "cryptography" for name in names):
+        if any(name.split(".")[0] == package for name in names):
             return True
     return False
 
 
+def _source(module):
+    return ast.parse((SRC / "vaxcred" / f"{module}.py").read_text())
+
+
 def test_only_crypto_imports_cryptography():
-    importers = [name for name in MODULES
-                 if _imports_cryptography(ast.parse((SRC / "vaxcred" / f"{name}.py").read_text()))]
+    importers = [name for name in MODULES if _imports(_source(name), "cryptography")]
     assert importers == ["crypto"]
 
 
+@pytest.mark.parametrize("package", ["socketserver", "asyncio"])
+def test_service_imports_no_server_framework(package):
+    """The signing server is one selector loop. ``socketserver`` would
+    bring back a thread per connection, and ``asyncio`` would weigh on
+    every ``vaxcred`` command, since ``cli`` imports ``service``."""
+    assert not _imports(_source("service"), package)
+
+
 def test_the_import_scan_sees_both_forms():
-    assert _imports_cryptography(ast.parse("import cryptography.exceptions"))
-    assert _imports_cryptography(ast.parse("from cryptography.hazmat import primitives"))
-    assert not _imports_cryptography(ast.parse("from .crypto import verify\nimport hashlib"))
+    assert _imports(ast.parse("import cryptography.exceptions"), "cryptography")
+    assert _imports(ast.parse("from cryptography.hazmat import primitives"), "cryptography")
+    assert not _imports(ast.parse("from .crypto import verify\nimport hashlib"), "cryptography")

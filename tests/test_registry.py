@@ -393,6 +393,27 @@ def test_corrupt_middle_line_rejected(tmp_path):
         Registry(path)
 
 
+@pytest.mark.parametrize("line", [
+    {"date": None, "op": "dose1", "seq": 2},  # no cid
+    {"cid": "not hex", "date": None, "op": "dose1", "seq": 2},
+    {"cid": _cid(0).hex(), "date": None, "op": "dose1", "seq": "x"},
+    [_cid(0).hex(), "dose1"],  # not an object
+    {"coupons": bytes(40).hex(), "op": "register", "seq": 2},  # not whole pairs
+    {"cid": _cid(0).hex(), "date": None, "op": "dose1", "req": 7, "seq": 2},
+], ids=["no-cid", "non-hex-cid", "non-integer-seq", "not-an-object", "partial-pair",
+        "non-text-req"])
+def test_malformed_record_refused_on_replay(tmp_path, line):
+    """A hostile log line makes replay raise CanonicalError, not another
+    exception or a silent partial registration."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as reg:
+        reg.register(*_coupon(0))
+    with open(path, "a") as fh:
+        fh.write(json.dumps(line) + "\n")
+    with pytest.raises(CanonicalError):
+        Registry(path)
+
+
 def test_dismantle(tmp_path):
     path = tmp_path / "reg.log"
     reg = Registry(path)

@@ -495,17 +495,6 @@ def _wait_until(condition, limit=5.0):
         time.sleep(0.01)
 
 
-def _reply_to(port, frame):
-    """The server's first bytes back for one frame on a new connection;
-    b"" when it closes the connection without answering."""
-    with socket.create_connection(("127.0.0.1", port), 2.0) as sock:
-        try:
-            sock.sendall(struct.pack(">I", len(frame)) + frame)
-            return sock.recv(4096)
-        except ConnectionError:
-            return b""
-
-
 def test_one_connection_for_many_doses(issuer, issuer_key, registry, rng,
                                        live, connects):
     server, client = live
@@ -555,7 +544,7 @@ def test_one_client_shared_by_threads(issuer, issuer_key, registry, live,
 
 def test_dose_after_an_idle_close_is_resent(issuer, issuer_key, registry, rng,
                                             live, connects, monkeypatch):
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.2)
     server, client = live
     moves = []
     mark_used = registry.mark_used
@@ -649,8 +638,9 @@ def test_reply_lost_on_a_new_connection_is_resent(issuer, issuer_key, rng,
 def test_more_kept_clients_than_the_cap_each_complete_doses(
         issuer, issuer_key, registry, monkeypatch):
     """Silent connections and kept clients past the cap do not lock a
-    client out: a new connection takes the place of the one idle longest,
-    and that one's client re-sends on its next request."""
+    client out: a new connection takes the place of the one whose
+    deadline is nearest, and that one's client re-sends on its next
+    request."""
     monkeypatch.setattr(service, "_MAX_CONNECTIONS", 2)
     server = serve(BadgeIssuer(issuer, registry))
     silent = [socket.create_connection(("127.0.0.1", server.port), 2.0)
@@ -676,38 +666,8 @@ def test_more_kept_clients_than_the_cap_each_complete_doses(
     assert {registry.check(c.coupon_id).stage for c in batch} == {Stage.DOSE2}
 
 
-def test_connection_over_a_cap_of_busy_ones_is_closed_unanswered(
-        issuer, issuer_key, registry, rng, live, monkeypatch):
-    monkeypatch.setattr(service, "_MAX_CONNECTIONS", 1)
-    server, client = live
-    release, busy = threading.Event(), threading.Event()
-    handle = service.handle_request_bytes
-
-    def held(issuer_, data):
-        busy.set()
-        assert release.wait(5.0)
-        return handle(issuer_, data)
-
-    monkeypatch.setattr(service, "handle_request_bytes", held)
-    coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
-                                registry=registry, start_index=68)[0]
-    session = _pharmacy(issuer_key, registry, client, rng)
-    dose = threading.Thread(
-        target=session.issue_credentials_paper, args=(coupon, DOSE1, PII))
-    dose.start()
-    try:
-        assert busy.wait(5.0)  # the only place is serving a request
-        assert _reply_to(server.port, b"junk") == b""
-    finally:
-        release.set()
-        dose.join(5.0)
-    assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
-    # the client's connection is idle now, so a new one takes its place
-    assert _reply_to(server.port, b"junk") != b""
-
-
 def test_silent_connection_closed_after_the_idle_limit(live, monkeypatch):
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.2)
     server, _ = live
     with socket.create_connection(("127.0.0.1", server.port), 5.0) as sock:
         t0 = time.monotonic()
@@ -716,10 +676,76 @@ def test_silent_connection_closed_after_the_idle_limit(live, monkeypatch):
     assert not server._live
 
 
+def test_slow_drip_peer_closed_at_the_frame_deadline(issuer, issuer_key, registry,
+                                                     rng, live, monkeypatch):
+    """A frame sent a byte at a time must still arrive whole within the
+    idle limit. An honest client is served while the dripping peer's
+    frame is unfinished, and the peer is then closed."""
+    monkeypatch.setattr(service, "_IDLE_TIMEOUT", 0.3)
+    server, client = live
+    coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                registry=registry, start_index=110)[0]
+    with socket.create_connection(("127.0.0.1", server.port), 2.0) as sock:
+        sock.sendall(struct.pack(">I", 100))  # announces a 100-byte frame
+        _pharmacy(issuer_key, registry, client, rng).issue_credentials_paper(
+            coupon, DOSE1, PII)
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionError):  # a send after the close is reset
+            for _ in range(40):
+                time.sleep(0.05)
+                sock.send(b"x")
+        assert time.monotonic() - t0 < 2.0
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
+
+
+def test_idle_sockets_hold_no_thread(issuer, issuer_key, registry, rng, live):
+    server, client = live
+    threads = threading.active_count()
+    idle = []
+    try:
+        idle += [socket.create_connection(("127.0.0.1", server.port), 2.0)
+                 for _ in range(200)]
+        _wait_until(lambda: len(server._live) == 200)
+        assert threading.active_count() == threads
+        coupon = issue_coupon_batch(issuer, 1, "02139", "transit",
+                                    registry=registry, start_index=111)[0]
+        _pharmacy(issuer_key, registry, client, rng).issue_credentials_paper(
+            coupon, DOSE1, PII)
+        assert len(server._live) == 201
+        assert threading.active_count() == threads
+    finally:
+        for sock in idle:
+            sock.close()
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
+
+
+def test_a_flood_of_connections_does_not_lock_a_client_out(
+        issuer, issuer_key, registry, rng, live, monkeypatch):
+    """Before each dose, three times the cap of silent connections arrive
+    and push out the client's kept one. Its re-send goes on a connection
+    newer than every flooder, so the dose completes."""
+    monkeypatch.setattr(service, "_MAX_CONNECTIONS", 4)
+    server, client = live
+    batch = issue_coupon_batch(issuer, 3, "02139", "transit",
+                               registry=registry, start_index=112)
+    session = _pharmacy(issuer_key, registry, client, rng)
+    flood = []
+    try:
+        for coupon in batch:
+            flood += [socket.create_connection(("127.0.0.1", server.port), 2.0)
+                      for _ in range(12)]
+            session.issue_credentials_paper(coupon, DOSE1, PII)
+        assert len(server._live) <= 4
+    finally:
+        for sock in flood:
+            sock.close()
+    assert {registry.check(c.coupon_id).stage for c in batch} == {Stage.DOSE1}
+
+
 def test_server_close_ends_live_connections(issuer, issuer_key, registry, rng):
-    """Closing the server closes a client's idle kept connection, so no
-    handler thread outlives it; the client's next request then re-sends
-    once and reports the service unreachable."""
+    """Closing the server closes a client's idle kept connection; the
+    client's next request then re-sends once and reports the service
+    unreachable."""
     server = serve(BadgeIssuer(issuer, registry))
     client = SigningClient("127.0.0.1", server.port)
     batch = issue_coupon_batch(issuer, 2, "02139", "transit",
