@@ -39,12 +39,14 @@ SALT_LEN = 16
 
 # Domain-separation tags. 0x00/0x01 are the Merkle leaf/node tags used in
 # merkle.py; 0x02 commits to PII values; 0x03 fingerprints whole passkeys;
-# 0x04 digests the coupon signatures a registry records.
+# 0x04 digests the coupon signatures a registry records; 0x05 digests
+# a signed badge (signature, then info bytes) the registry records at dose 1.
 TAG_LEAF = b"\x00"
 TAG_NODE = b"\x01"
 TAG_PII = b"\x02"
 TAG_PASSKEY = b"\x03"
 TAG_COUPON_SIG = b"\x04"
+TAG_BADGE_SIG = b"\x05"
 
 _PKENC_INFO = b"vaxcred/pkenc/v1"
 _SEAL_INFO = b"vaxcred/keyblob/v1"

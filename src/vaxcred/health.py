@@ -18,6 +18,7 @@ bytes carry nothing about the holder.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -220,10 +221,10 @@ def add_dp_noise(
     sensitivity: float = 1.0,
     rng=None,
 ) -> AggregateResult:
-    if not epsilon > 0:  # NaN too
-        raise NoiseParameterError(f"epsilon must be positive, got {epsilon}")
-    if not sensitivity > 0:
-        raise NoiseParameterError(f"sensitivity must be positive, got {sensitivity}")
+    if not (math.isfinite(epsilon) and epsilon > 0):  # NaN and infinity too
+        raise NoiseParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    if not (math.isfinite(sensitivity) and sensitivity > 0):
+        raise NoiseParameterError(f"sensitivity must be positive and finite, got {sensitivity}")
     if agg.noised:
         raise WrongStateError("aggregate already carries noise")
     scale = sensitivity / epsilon

@@ -11,7 +11,9 @@ A coupon is registered with a digest of its signature; signing is
 deterministic, so a coupon matching id and digest is the one the issuer
 signed. A batch is one ``register`` record, so a crash registers all of
 it or none. Older logs hold one record per coupon; the oldest carry no
-digest, and their entries match nothing.
+digest, and their entries match nothing. A dose record holds ``cid``,
+``date``, ``op``, ``req`` and ``seq``; ``dose1`` also holds ``badge``, the
+digest of the badge signed, which a second dose matches (older ones lack it).
 
 Retries are recognized by request digest: a transition replayed with the
 digest already on file is a no-op success instead of a double-use error.
@@ -56,17 +58,14 @@ class CouponState:
 
 class _Entry:
     """One coupon's signature digest (None from an old log), stage, latest
-    dose date and the request digest of each dose taken; kept small, as a
-    registry holds one per coupon issued."""
+    dose date, request digest per dose and dose-1 badge digest; kept small,
+    as a registry holds one per coupon issued."""
 
-    __slots__ = ("sig", "stage", "date", "req1", "req2")
+    __slots__ = ("sig", "stage", "date", "req1", "req2", "badge")
 
     def __init__(self, sig: Optional[bytes]):
-        self.sig = sig
-        self.stage = Stage.UNUSED
-        self.date = None
-        self.req1 = None
-        self.req2 = None
+        self.sig, self.stage = sig, Stage.UNUSED
+        self.date = self.req1 = self.req2 = self.badge = None
 
 
 class Registry:
@@ -138,10 +137,13 @@ class Registry:
             return
         if op in ("dose1", "dose2"):
             req = bytes.fromhex(record["req"]) if record.get("req") else None
+            badge = bytes.fromhex(record["badge"]) if "badge" in record else None
+            if badge is not None and len(badge) != 32:
+                raise CanonicalError("badge digest must be 32 bytes")
             entry = self._entries.setdefault(cid, _Entry(None))
             entry.stage, entry.date = Stage(op), record.get("date")
-            if req and op == "dose1":
-                entry.req1 = req
+            if op == "dose1":
+                entry.req1, entry.badge = req, badge
             elif req:
                 entry.req2 = req
             return
@@ -177,6 +179,15 @@ class Registry:
         with self._lock:
             entry = self._lookup(coupon_id)
             if entry is None or entry.sig is None or not hmac.compare_digest(entry.sig, digest):
+                return None
+            return CouponState(entry.stage, entry.date)
+
+    def match_badge(self, coupon_id: bytes, digest: bytes) -> Optional[CouponState]:
+        """``match`` for the digest of the badge signed at the coupon's first
+        dose; None also when its ``dose1`` record carries none."""
+        with self._lock:
+            entry = self._lookup(coupon_id)
+            if entry is None or not entry.badge or not hmac.compare_digest(entry.badge, digest):
                 return None
             return CouponState(entry.stage, entry.date)
 
@@ -229,10 +240,11 @@ class Registry:
         dose: int,
         date: Optional[str] = None,
         request_digest: Optional[bytes] = None,
+        badge_digest: Optional[bytes] = None,
     ) -> bool:
-        """Atomically advance one dose. Returns True if the state moved,
-        False for a recognized retry (same request digest already applied).
-        """
+        """Atomically advance one dose, recording ``badge_digest`` on a first.
+        Returns True if the state moved, False for a recognized retry (same
+        request digest already applied)."""
         if dose not in (1, 2):
             raise InvalidTransitionError(f"dose must be 1 or 2, got {dose}")
         req = bytes(request_digest) if request_digest else None
@@ -257,6 +269,8 @@ class Registry:
             record = {"cid": coupon_id.hex(), "op": f"dose{dose}", "date": date}
             if req is not None:
                 record["req"] = req.hex()
+            if dose == 1 and badge_digest is not None:
+                record["badge"] = badge_digest.hex()
             self._commit([record])
             return True
 

@@ -11,8 +11,9 @@ Counter and issuer accept a coupon whose id and signature digest the
 registry holds without an Ed25519 verify, so genuineness rests on the
 registry log, already trusted for one use. Any other coupon is verified
 first, so a forgery is a bad coupon whatever the registry says of its id.
-A second dose's badge is always verified: the registry shows the issuer
-signed it, not that the presenter holds its signature.
+A second dose's badge is admitted alike: at dose 1 the issuer records a
+digest of the badge it signed, signature included, so a match shows the
+presenter holds that exact badge. Any other badge is verified.
 
 The pharmacy never forwards raw identity fields to the issuer; only the
 salted commitment or tree root leaves the counter.
@@ -20,6 +21,7 @@ salted commitment or tree root leaves the counter.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +41,7 @@ from .credentials import (
     pii_pairs,
     status_for,
 )
-from .crypto import KeyHandle, VerifyingKey, new_salt, sha256
+from .crypto import TAG_BADGE_SIG, KeyHandle, VerifyingKey, new_salt, sha256, tagged_hash
 from .errors import (
     AlreadyUsedError,
     BadCouponError,
@@ -62,6 +64,12 @@ def _genuine_state(vk_issuer: VerifyingKey, registry: Registry, coupon) -> Optio
     if not verify_coupon(vk_issuer, coupon):
         raise BadCouponError("coupon signature does not verify")
     return None
+
+
+def badge_digest(signature: bytes, info_bytes: bytes) -> bytes:
+    """What the registry records of a badge signed at dose 1. The signature
+    is always 64 bytes, so signature then info splits one way only."""
+    return tagged_hash(TAG_BADGE_SIG, signature + info_bytes)
 
 
 def check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None:
@@ -119,13 +127,15 @@ class BadgeIssuer:
         if status_payload != status_for(badge_info, user_key):
             raise MismatchError("status does not match the badge")
 
+        badge_sig = self._handle.sign(badge_bytes)  # deterministic: a retry signs alike
         self._registry.mark_used(
             badge_info.coupon.coupon_id,
             len(badge_info.dose_history),
             date=badge_info.dose_history[-1].date,
             request_digest=derived,
+            badge_digest=badge_digest(badge_sig, badge_bytes),
         )
-        return self._handle.sign(badge_bytes), self._handle.sign(status_bytes)
+        return badge_sig, self._handle.sign(status_bytes)
 
 
 @dataclass
@@ -185,7 +195,12 @@ class PharmacySession:
         needs the holder key for its status."""
         from .verification import verify_badge  # local import, no cycle at load
 
-        if verify_badge(self.vk_issuer, badge) is None:
+        state = None  # the registry's, when it holds this badge's digest
+        with contextlib.suppress(CanonicalError):  # no encoding: the verify refuses it
+            if isinstance(badge, Badge):
+                digest = badge_digest(badge.signature, badge.info.to_bytes())
+                state = self.registry.match_badge(badge.info.coupon.coupon_id, digest)
+        if state is None and verify_badge(self.vk_issuer, badge) is None:
             raise BadSignatureError("badge signature does not verify")
         if len(badge.info.dose_history) != 1:
             raise WrongStateError("badge already records a completed course")
@@ -199,7 +214,7 @@ class PharmacySession:
             raise ProductMismatchError(
                 f"course started with {first.product!r}, got {dose.product!r}"
             )
-        state = self.registry.check(badge.info.coupon.coupon_id)
+        state = state or self.registry.check(badge.info.coupon.coupon_id)
         if state.stage is not Stage.DOSE1:
             raise WrongStateError(f"coupon is {state.stage.value}, expected dose1")
 

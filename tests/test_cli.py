@@ -454,6 +454,16 @@ def test_health_pipeline_via_files(capsys, env):
     assert noisy["epsilon"] == 1.0 and len(noisy["totals"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--epsilon", "--sensitivity"])
+def test_health_noise_refuses_an_infinite_parameter(capsys, flag):
+    """An infinite epsilon printed un-noised totals as non-standard JSON,
+    and an infinite sensitivity crashed; both are a typed refusal."""
+    code, out, err = run(capsys, "health", "noise", "--totals", "4,1,8", "--n", "2",
+                         "--epsilon", "1", flag, "inf")
+    assert code == 2 and out == ""
+    assert err.startswith("error (noise-parameter)")
+
+
 def test_health_report_and_feed(capsys, env):
     _issue_batch(capsys, env, n=1)
     store = env / "reports.jsonl"

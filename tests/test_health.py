@@ -295,8 +295,9 @@ def test_noise_without_an_rng_leaves_the_module_generator_alone():
 
 def test_noise_parameter_validation(rng):
     agg = combine_aggregates(*_run_clients([SymptomVector((1,))], rng))
-    nan = float("nan")
-    for eps, sens in ((0, 1.0), (-1.0, 1.0), (1.0, 0), (1.0, -2.0), (nan, 1.0), (1.0, nan)):
+    nan, inf = float("nan"), float("inf")
+    for eps, sens in ((0, 1.0), (-1.0, 1.0), (1.0, 0), (1.0, -2.0), (nan, 1.0), (1.0, nan),
+                      (inf, 1.0), (1.0, inf)):
         with pytest.raises(NoiseParameterError):
             add_dp_noise(agg, epsilon=eps, sensitivity=sens, rng=rng)
 

@@ -272,6 +272,27 @@ def test_replays_a_log_from_before_batches(tmp_path):
         assert len(again) == 4 and again.match(*_coupon(3)) == CouponState(Stage.UNUSED)
 
 
+def test_badge_digest_is_logged_at_dose1_and_replayed(tmp_path):
+    """A first dose logs the badge digest it is given; a reopened handle
+    matches it, a log without it matches nothing, and a dismantled
+    registry matches nothing."""
+    path, badge = tmp_path / "reg.log", bytes(range(32))
+    with Registry(path) as reg:
+        reg.register_many([_coupon(0), _coupon(1)])
+        reg.mark_used(_cid(0), 1, date="2021-01-05", badge_digest=badge)
+        reg.mark_used(_cid(1), 1, date="2021-01-05")
+        reg.mark_used(_cid(0), 2, date="2021-01-26", badge_digest=badge)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r.get("badge") for r in records[1:]] == [badge.hex(), None, None]
+    with Registry(path) as reg:
+        assert reg.match_badge(_cid(0), badge) == CouponState(Stage.DOSE2, "2021-01-26")
+        assert reg.match_badge(_cid(0), bytes(32)) is None
+        assert reg.match_badge(_cid(1), badge) is None
+        assert reg.check(_cid(1)) == CouponState(Stage.DOSE1, "2021-01-05")
+        reg.dismantle(administrative=True)
+        assert reg.match_badge(_cid(0), badge) is None
+
+
 def test_a_failed_append_leaves_memory_as_it_was(tmp_path, monkeypatch):
     """A transition whose fsync fails, as on a full disk, changes neither
     the log nor memory, so the holder's next request is served rather than
@@ -400,8 +421,12 @@ def test_corrupt_middle_line_rejected(tmp_path):
     [_cid(0).hex(), "dose1"],  # not an object
     {"coupons": bytes(40).hex(), "op": "register", "seq": 2},  # not whole pairs
     {"cid": _cid(0).hex(), "date": None, "op": "dose1", "req": 7, "seq": 2},
+    {"badge": "ab" * 31, "cid": _cid(0).hex(), "date": None, "op": "dose1", "seq": 2},
+    {"badge": "zz" * 32, "cid": _cid(0).hex(), "date": None, "op": "dose1", "seq": 2},
+    {"badge": 7, "cid": _cid(0).hex(), "date": None, "op": "dose1", "seq": 2},
+    {"badge": None, "cid": _cid(0).hex(), "date": None, "op": "dose1", "seq": 2},
 ], ids=["no-cid", "non-hex-cid", "non-integer-seq", "not-an-object", "partial-pair",
-        "non-text-req"])
+        "non-text-req", "short-badge", "non-hex-badge", "non-text-badge", "null-badge"])
 def test_malformed_record_refused_on_replay(tmp_path, line):
     """A hostile log line makes replay raise CanonicalError, not another
     exception or a silent partial registration."""

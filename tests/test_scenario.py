@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from vaxcred import crypto
 from vaxcred.cli import main
 from vaxcred.errors import VaxError
 from vaxcred.scenario import (
@@ -103,3 +104,26 @@ def test_summary_counts_add_up():
     log = run_scenario(canonical_script(6), seed=11)
     summary = log.summary
     assert summary["accepted"] + summary["rejected"] == len(log.events) - 1
+
+
+def test_canonical_user_costs_two_verifies_and_five_and_a_half_signs(monkeypatch):
+    """Floor accounting: the Ed25519 work the canonical scenario does per
+    user. Coupons and second-dose badges are admitted by the registry's
+    digests, so the verifies left are the venue's and the gate's."""
+    counts = {"verify": 0, "sign": 0}
+    verify, sign = crypto.verify, crypto.KeyHandle.sign
+
+    def counted_verify(*args):
+        counts["verify"] += 1
+        return verify(*args)
+
+    def counted_sign(handle, *args):
+        counts["sign"] += 1
+        return sign(handle, *args)
+
+    monkeypatch.setattr(crypto, "verify", counted_verify)
+    monkeypatch.setattr(crypto.KeyHandle, "sign", counted_sign)
+    users = 20
+    assert run_scenario(canonical_script(users), seed=7).summary["ok"] is True
+    assert counts["verify"] == 2 * users
+    assert counts["sign"] == 5.5 * users

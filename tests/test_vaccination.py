@@ -10,6 +10,7 @@ from vaxcred import canonical, crypto
 from vaxcred.coupons import Coupon, CouponPayload, issue_coupon_batch
 from vaxcred.credentials import (
     AppBinding,
+    Badge,
     BadgeInfo,
     Commitment,
     DoseInfo,
@@ -24,6 +25,7 @@ from vaxcred.crypto import generate_keypair, new_salt
 from vaxcred.errors import (
     AlreadyUsedError,
     BadCouponError,
+    BadSignatureError,
     MismatchError,
     ProductMismatchError,
     ServiceUnreachableError,
@@ -34,7 +36,7 @@ from vaxcred.errors import (
 from vaxcred.merkle import build_pii_tree
 from vaxcred.registry import Registry, Stage
 from vaxcred.service import SigningClient, encode_request, handle_request_bytes
-from vaxcred.vaccination import BadgeIssuer, PharmacySession, check_admission
+from vaxcred.vaccination import BadgeIssuer, PharmacySession, badge_digest, check_admission
 from vaxcred.verification import verify_badge, verify_status
 
 PII = [("dob", "1962-11-30"), ("name", "Sam Example")]
@@ -138,11 +140,84 @@ def verifies(monkeypatch):
 
 def test_dose_path_verifies(session, coupon, verifies):
     """A registered coupon is admitted by its registry digest, at the
-    counter and at the issuer; a second dose verifies only the badge."""
+    counter and at the issuer, and a second dose's badge by the digest
+    recorded when it was signed: neither dose verifies a signature."""
     badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
     assert len(verifies) == 0
     session.second_dose(badge, _dose(n=2, date="2021-02-22"))
-    assert len(verifies) == 1
+    assert len(verifies) == 0
+
+
+def test_first_dose_records_the_signed_badge(issuer, registry, coupon, session):
+    """The dose1 record carries the badge digest, and a recognized retry,
+    signed alike, leaves it as it was."""
+    badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
+    digest = badge_digest(badge.signature, badge.info.to_bytes())
+    assert registry.match_badge(coupon.coupon_id, digest).stage is Stage.DOSE1
+    status = status_for(badge.info, None)
+    retried = BadgeIssuer(issuer, registry).sign_badge_request(badge.info, status)
+    assert retried[0] == badge.signature
+    assert registry.match_badge(coupon.coupon_id, digest).stage is Stage.DOSE1
+    assert registry.match_badge(coupon.coupon_id, bytes(32)) is None
+    assert registry.match_badge(bytes(32), digest) is None
+
+
+SECOND_DOSE_REFUSALS = {"other-lot": "bad-signature", "other-binding": "bad-signature",
+                        "flipped-signature": "bad-signature", "after-dose-2": "wrong-state",
+                        "dismantled": "dismantled"}
+
+
+@pytest.mark.parametrize("case", list(SECOND_DOSE_REFUSALS))
+def test_hostile_second_doses_refused(case, registry, coupon, session, rng, verifies):
+    """A badge the registry did not record is verified, so an altered one
+    is a bad signature; the recorded one is refused once spent or after a
+    dismantle, with the codes a verify-first counter gave."""
+    badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
+    if case == "other-lot":
+        info = dataclasses.replace(badge.info, dose_history=(_dose(lot="L-9"),))
+        badge = Badge(info=info, signature=badge.signature)
+    elif case == "other-binding":
+        binding = Commitment(pii_commitment(PII, new_salt(rng)))
+        badge = Badge(info=dataclasses.replace(badge.info, binding=binding),
+                      signature=badge.signature)
+    elif case == "flipped-signature":
+        flipped = badge.signature[:-1] + bytes([badge.signature[-1] ^ 1])
+        badge = Badge(info=badge.info, signature=flipped)
+    elif case == "after-dose-2":
+        session.second_dose(badge, _dose(n=2, date="2021-02-22"))
+    else:
+        registry.dismantle(administrative=True)
+    with pytest.raises(VaxError) as refused:
+        session.second_dose(badge, _dose(n=2, date="2021-02-23"))
+    assert refused.value.code == SECOND_DOSE_REFUSALS[case]
+    if case.startswith(("other", "flipped")):
+        assert len(verifies) == 1
+
+
+def test_dose1_record_without_a_badge_digest_admits_by_verify(issuer, issuer_key, coupon,
+                                                              tmp_path, rng, verifies):
+    """A dose1 record written before badge digests were logged: a genuine
+    badge is admitted through one verify, and a forgery is refused."""
+    path = tmp_path / "registry.log"
+    with Registry(path) as registry:
+        registry.register(coupon.coupon_id, coupon.sig_digest)
+        session = PharmacySession(vk_issuer=issuer_key, registry=registry,
+                                  signer=BadgeIssuer(issuer, registry), rng=rng)
+        badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert "badge" in records[-1]
+    del records[-1]["badge"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with Registry(path) as registry:
+        session = PharmacySession(vk_issuer=issuer_key, registry=registry,
+                                  signer=BadgeIssuer(issuer, registry), rng=rng)
+        forged = Badge(info=badge.info, signature=bytes(64))
+        with pytest.raises(BadSignatureError):
+            session.second_dose(forged, _dose(n=2, date="2021-02-22"))
+        del verifies[:]
+        session.second_dose(badge, _dose(n=2, date="2021-02-22"))
+        assert len(verifies) == 1
+        assert registry.check(coupon.coupon_id).stage is Stage.DOSE2
 
 
 def test_old_log_entry_admits_by_verify(issuer, issuer_key, rng, tmp_path, verifies):
