@@ -24,7 +24,7 @@ from .config import ENV_KEYSTORE, ENV_PASSPHRASE, ENV_REGISTRY, load_config
 from .coupons import Coupon, DistributorBatch, EligibilityRecord, issue_coupon_batch
 from .credentials import Badge, DoseInfo, Passkey, Status, VaccinationLevel
 from .crypto import KeyHandle, VerifyingKey, generate_keypair
-from .errors import ConfigError, VaxError
+from .errors import CanonicalError, ConfigError, VaxError
 from .groupverify import gate_round_trip, make_venue, venue_start
 from .health import (
     AggServer,
@@ -214,7 +214,13 @@ def cmd_distributor_give(args) -> int:
                               "add a newline at its end to convert it")
     with contextlib.closing(durable.Journal(args.state)) as journal, \
             journal.locked() as records:
-        released = {index for r in records for index in r["released"]}
+        released = set()
+        for r in records:
+            if not (isinstance(r, dict) and isinstance(r.get("released"), list)
+                    and all(type(index) is int for index in r["released"])):
+                raise CanonicalError(f"{args.state} holds a line that is not "
+                                     '{"released": [index, ...]}')
+            released.update(r["released"])
         coupon = DistributorBatch(coupons=coupons, released=released).distribute(record)
         journal.append([{"released": [coupon.payload.index]}])
     print(qr.export_coupon_url(coupon) if args.url else qr.encode_qr(coupon))
@@ -442,8 +448,16 @@ def cmd_venue_gate(args) -> int:
 # -- health -------------------------------------------------------------------
 
 
+def _ints(text: str) -> tuple:
+    """Comma-separated integers; CanonicalError for any other item."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise CanonicalError(f"not comma-separated integers: {text!r}") from None
+
+
 def _vector_from_text(text: str) -> SymptomVector:
-    return SymptomVector(tuple(int(x) for x in text.split(",") if x.strip()))
+    return SymptomVector(_ints(text))
 
 
 def cmd_health_report(args) -> int:
@@ -475,6 +489,11 @@ def cmd_health_aggregate(args) -> int:
     if not rows:
         print(json.dumps({"n": 0, "totals": []}))
         return 0
+    for row in rows:
+        if not (isinstance(row, dict) and isinstance(row.get("a"), list)
+                and isinstance(row.get("b"), list)):
+            raise CanonicalError(f"{args.shares} holds a line that is not "
+                                 '{"a": [...], "b": [...]}')
     dim = len(rows[0]["a"])
     server_a, server_b = AggServer(dim, args.p), AggServer(dim, args.p)
     for row in rows:
@@ -486,8 +505,7 @@ def cmd_health_aggregate(args) -> int:
 
 
 def cmd_health_noise(args) -> int:
-    totals = tuple(int(x) for x in args.totals.split(",") if x.strip())
-    agg = AggregateResult(totals=totals, n_reports=args.n)
+    agg = AggregateResult(totals=_ints(args.totals), n_reports=args.n)
     rng = random.Random(args.seed) if args.seed is not None else None
     noisy = add_dp_noise(agg, args.epsilon, args.sensitivity, rng)
     print(json.dumps({"epsilon": noisy.epsilon, "totals": list(noisy.totals)}))

@@ -137,8 +137,11 @@ class DistributorBatch:
 
     def __post_init__(self):
         indices = [c.payload.index for c in self.coupons]
-        if len(set(indices)) != len(indices):
+        held = set(indices)
+        if len(held) != len(indices):
             raise CanonicalError("duplicate coupon index in batch")
+        if not self.released <= held:
+            raise CanonicalError("released index not in batch")
         zips = {c.payload.zip_code for c in self.coupons}
         jobs = {c.payload.job_type for c in self.coupons}
         if len(zips) > 1 or len(jobs) > 1:

@@ -7,6 +7,16 @@ domain tags so digests from different contexts can never be spliced.
 This is the only module that calls ``cryptography``: one AEAD
 (ChaCha20-Poly1305) and one agreement (ephemeral X25519, then
 HKDF-SHA256), which maps every failure to AuthFailureError.
+
+Every Ed25519 verify passes through :func:`verify`, which remembers the
+triples it has verified: a repeat showing of the same signed bytes under
+the same key skips the verify, and a first showing does not. That is
+sound only because this module is the one verifier. EdDSA verifiers of
+different libraries disagree on edge cases (Chalkias, Garillot and
+Nikolaenko, "Taming the many EdDSAs", SSR 2020), but under one library
+the answer is a deterministic function of (key, signature, message).
+Failures are never remembered. The memory holds at most 4,096 32-byte
+digests (about 0.4 MB), in memory only: it is never logged or written.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import struct
+import threading
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -40,13 +51,15 @@ SALT_LEN = 16
 # Domain-separation tags. 0x00/0x01 are the Merkle leaf/node tags used in
 # merkle.py; 0x02 commits to PII values; 0x03 fingerprints whole passkeys;
 # 0x04 digests the coupon signatures a registry records; 0x05 digests
-# a signed badge (signature, then info bytes) the registry records at dose 1.
+# a signed badge (signature, then info bytes) the registry records at dose 1;
+# 0x06 digests a (key, signature, message) triple that ``verify`` accepted.
 TAG_LEAF = b"\x00"
 TAG_NODE = b"\x01"
 TAG_PII = b"\x02"
 TAG_PASSKEY = b"\x03"
 TAG_COUPON_SIG = b"\x04"
 TAG_BADGE_SIG = b"\x05"
+TAG_VERIFIED = b"\x06"
 
 _PKENC_INFO = b"vaxcred/pkenc/v1"
 _SEAL_INFO = b"vaxcred/keyblob/v1"
@@ -248,15 +261,35 @@ def generate_keypair(rng=None) -> tuple[KeyHandle, VerifyingKey]:
     return handle, handle.verifying_key
 
 
+VERIFIED_MAX = 4096
+_verified: set = set()  # TAG_VERIFIED digests of triples ``verify`` accepted
+_verified_lock = threading.Lock()
+
+
 def verify(vk: VerifyingKey, msg: bytes, sig: bytes) -> bool:
-    """Total verification: malformed inputs are a rejection, never a crash."""
+    """Total verification: malformed inputs are a rejection, never a crash.
+
+    A triple verified before is accepted from memory: the SHA-256 under
+    ``TAG_VERIFIED`` of key (32 bytes) || signature (64 bytes) || message.
+    The fixed-length prefixes split that input one way only, so a hit is
+    the answer a verify of the same triple gives. Only successes are
+    added, so an altered triple is verified (and refused) every time; the
+    set is emptied once it holds ``VERIFIED_MAX`` digests."""
     if not isinstance(sig, bytes) or len(sig) != SIGNATURE_LEN:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(vk.sig_bytes).verify(sig, msg)
-        return True
+        public = vk.sig_bytes
+        digest = tagged_hash(TAG_VERIFIED, public + sig + msg)
+        if digest in _verified:
+            return True
+        Ed25519PublicKey.from_public_bytes(public).verify(sig, msg)
     except Exception:
         return False
+    with _verified_lock:
+        if len(_verified) >= VERIFIED_MAX:
+            _verified.clear()
+        _verified.add(digest)
+    return True
 
 
 class SignedBody:

@@ -228,11 +228,14 @@ def add_dp_noise(
     if agg.noised:
         raise WrongStateError("aggregate already carries noise")
     scale = sensitivity / epsilon
-    noisy = tuple(
-        int(round(t + laplace_sample(scale, rng))) for t in agg.totals
-    )
+    if not math.isfinite(scale):
+        raise NoiseParameterError(f"noise scale {sensitivity}/{epsilon} is not finite")
+    noisy = tuple(t + laplace_sample(scale, rng) for t in agg.totals)
+    if not all(map(math.isfinite, noisy)):
+        raise NoiseParameterError(f"noise of scale {scale} overflows a total")
     return AggregateResult(
-        totals=noisy, n_reports=agg.n_reports, epsilon=epsilon, noised=True
+        totals=tuple(int(round(x)) for x in noisy), n_reports=agg.n_reports,
+        epsilon=epsilon, noised=True,
     )
 
 
@@ -270,6 +273,10 @@ def save_feed(feed: AlertFeed, path) -> None:
 def load_feed(path) -> AlertFeed:
     with open(path, "rb") as fh:
         records = list(durable.json_lines(fh.read()))
+    for r in records:
+        if not (isinstance(r, dict)
+                and all(isinstance(r.get(k), str) for k in ("key", "message", "scope"))):
+            raise CanonicalError(f"{path} holds a line that is not an alert entry")
     entries = tuple(AlertEntry(r["scope"], r["key"], r["message"]) for r in records)
     return AlertFeed(day=records[-1].get("day", "") if records else "", entries=entries)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vaxcred import crypto
 from vaxcred.crypto import generate_keypair
 from vaxcred.registry import Registry
 
@@ -30,6 +31,30 @@ def issuer_key(issuer_pair):
 def registry():
     with Registry() as reg:
         yield reg
+
+
+@pytest.fixture
+def ed25519_verifies(monkeypatch):
+    """A list that grows by one at each Ed25519 verify ``crypto.verify``
+    makes, which starts from an empty memory of verified triples."""
+    calls = []
+    real = crypto.Ed25519PublicKey
+
+    class CountedKey:
+        def __init__(self, data):
+            self._key = real.from_public_bytes(data)
+
+        @classmethod
+        def from_public_bytes(cls, data):
+            return cls(data)
+
+        def verify(self, sig, msg):
+            calls.append(1)
+            self._key.verify(sig, msg)
+
+    monkeypatch.setattr(crypto, "_verified", set())
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", CountedKey)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

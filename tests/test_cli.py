@@ -149,6 +149,21 @@ def test_distributor_refuses_an_old_state_file(capsys, env):
     assert state.read_text() == old + '\n{"released": [1]}\n'
 
 
+@pytest.mark.parametrize("line", ['{"released": "x"}', '{"released": [99]}',
+                                  '{"released": [true]}', '{"released": 1}', '[0]'])
+def test_distributor_refuses_a_malformed_state_line(capsys, env, line):
+    """A state line that is not a list of the batch's indices is refused:
+    ``"x"`` was read as the index set {"x"} and [99] was passed over."""
+    _issue_batch(capsys, env, n=3)
+    state = env / "handed.jsonl"
+    state.write_text(line + "\n")
+    code, out, err = run(capsys, "distributor", "give", "--batch", str(env / "batch.txt"),
+                         "--state", str(state), "--subject", "S1", "--zip", "02139",
+                         "--job", "healthcare")
+    assert code == 2 and out == "" and err.startswith("error (canonical)")
+    assert state.read_text() == line + "\n"
+
+
 def test_distributor_url_form(capsys, env):
     _issue_batch(capsys, env, n=1)
     code, out, _ = run(
@@ -462,6 +477,36 @@ def test_health_noise_refuses_an_infinite_parameter(capsys, flag):
                          "--epsilon", "1", flag, "inf")
     assert code == 2 and out == ""
     assert err.startswith("error (noise-parameter)")
+
+
+def test_health_noise_refuses_an_infinite_scale(capsys):
+    """Finite parameters whose quotient is infinite crashed the rounding."""
+    code, out, err = run(capsys, "health", "noise", "--totals", "4,1,8", "--n", "2",
+                         "--epsilon", "1e-300", "--sensitivity", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("error (noise-parameter)")
+
+
+def test_health_split_refuses_a_vector_that_is_not_integers(capsys):
+    code, out, err = run(capsys, "health", "split", "--vector", "1,x")
+    assert code == 2 and out == "" and err.startswith("error (canonical)")
+
+
+@pytest.mark.parametrize("line", ["7", '{"a": [1]}', '{"a": 3, "b": [1]}'])
+def test_health_aggregate_refuses_a_line_that_is_not_a_share_pair(capsys, env, line):
+    shares = env / "shares.jsonl"
+    shares.write_text('{"a": [1], "b": [2]}\n' + line + "\n")
+    code, out, err = run(capsys, "health", "aggregate", "--shares", str(shares))
+    assert code == 2 and out == "" and err.startswith("error (canonical)")
+
+
+@pytest.mark.parametrize("line", ['{"day": "2021-04-02", "key": "L-1", "message": "m"}',
+                                  '["lot", "L-1", "m"]'])
+def test_health_match_refuses_a_line_that_is_not_an_alert(capsys, env, line):
+    feed = env / "alerts.jsonl"
+    feed.write_text(line + "\n")
+    code, out, err = run(capsys, "health", "match", "--feed", str(feed), "--lot", "L-1")
+    assert code == 2 and out == "" and err.startswith("error (canonical)")
 
 
 def test_health_report_and_feed(capsys, env):

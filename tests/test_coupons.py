@@ -16,6 +16,7 @@ from vaxcred.coupons import (
 )
 from vaxcred.errors import (
     BatchExhaustedError,
+    CanonicalError,
     InvalidTransitionError,
     InvalidZipError,
     MismatchError,
@@ -142,6 +143,12 @@ def test_distribute_resumes_a_restored_batch(issuer):
     assert batch.released == {0, 1, 2, 3, 4, 5} and batch.remaining == 0
     with pytest.raises(BatchExhaustedError):
         batch.distribute(_record())
+
+
+def test_batch_refuses_a_released_index_it_does_not_hold(issuer):
+    coupons = issue_coupon_batch(issuer, 2, "02139", "healthcare")
+    with pytest.raises(CanonicalError):
+        DistributorBatch(coupons=coupons, released={1, 99})
 
 
 def test_distribute_rejects_unapproved(issuer):

@@ -7,11 +7,13 @@ the library's own helpers cannot hide itself.
 import hashlib
 import random
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaxcred import crypto
 from vaxcred.crypto import (
     TAG_LEAF,
     TAG_NODE,
@@ -27,6 +29,7 @@ from vaxcred.crypto import (
     salted_hash,
     sign_canonical,
     tagged_hash,
+    verify,
     verify_canonical,
 )
 from vaxcred.errors import AuthFailureError, CanonicalError, VaxError
@@ -77,6 +80,81 @@ def test_verify_rejects_mangled_signature(rng):
     sig[10] ^= 0x40
     assert not verify_canonical(vk, {"x": 1}, bytes(sig))
     assert not verify_canonical(vk, {"x": 1}, b"\x00" * 63)
+
+
+def _signed(rng, n=1):
+    """``n`` (key, message, signature) triples under one fresh key."""
+    handle, vk = generate_keypair(rng)
+    return [(vk, b"message %d" % i, handle.sign(b"message %d" % i)) for i in range(n)]
+
+
+def test_a_repeat_verify_is_answered_from_memory(rng, ed25519_verifies):
+    [(vk, msg, sig)] = _signed(rng)
+    assert verify(vk, msg, sig) and verify(vk, msg, sig)
+    assert len(ed25519_verifies) == 1 and len(crypto._verified) == 1
+
+
+def test_a_remembered_success_admits_no_altered_triple(rng, ed25519_verifies):
+    """After a cached success, a changed message byte, a flipped signature
+    bit and another issuer's key are each verified and refused."""
+    [(vk, msg, sig)] = _signed(rng)
+    _, other = generate_keypair(rng)
+    assert verify(vk, msg, sig)
+    flipped = bytearray(sig)
+    flipped[17] ^= 0x08
+    altered = [(vk, b"n" + msg[1:], sig), (vk, msg, bytes(flipped)), (other, msg, sig)]
+    for _ in range(2):
+        for triple in altered:
+            assert not verify(*triple)
+    assert len(ed25519_verifies) == 1 + 2 * len(altered)
+    assert verify(vk, msg, sig) and len(ed25519_verifies) == 7
+
+
+def test_a_failed_verify_leaves_the_memory_unchanged(rng, ed25519_verifies):
+    [(vk, msg, sig)] = _signed(rng)
+    assert verify(vk, msg, sig)
+    before = set(crypto._verified)
+    assert not verify(vk, msg + b"!", sig)
+    assert not verify(vk, msg, sig[:63])
+    assert not verify(vk, "not bytes", sig)
+    assert crypto._verified == before
+
+
+def test_the_memory_holds_at_most_its_bound(rng, ed25519_verifies):
+    triples = _signed(rng, crypto.VERIFIED_MAX + 1)
+    sizes = []
+    for triple in triples:
+        assert verify(*triple)
+        sizes.append(len(crypto._verified))
+    assert max(sizes) == crypto.VERIFIED_MAX and sizes[-1] == 1
+
+
+def test_threads_agree_with_uncached_verifies(rng, ed25519_verifies):
+    """Eight threads verify one mixed list, each in its own order, while
+    the memory fills: every answer is the uncached one."""
+    good = _signed(rng, 12)
+    bad = [(vk, msg + b"?", sig) for vk, msg, sig in good[:6]]
+    bad += [(vk, msg, sig[::-1]) for vk, msg, sig in good[6:]]
+    triples = good + bad
+    expected = [i < len(good) for i in range(len(triples))]
+    start = threading.Barrier(8)
+    results = {}
+
+    def worker(seed):
+        order = list(range(len(triples))) * 3
+        random.Random(seed).shuffle(order)
+        start.wait()
+        results[seed] = [(i, verify(*triples[i])) for i in order]
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == 8
+    for answers in results.values():
+        assert all(ok == expected[i] for i, ok in answers)
+    assert len(crypto._verified) == len(good)
 
 
 def test_verifying_key_hex_round_trip(rng):

@@ -302,6 +302,31 @@ def test_noise_parameter_validation(rng):
             add_dp_noise(agg, epsilon=eps, sensitivity=sens, rng=rng)
 
 
+class _Draws:
+    """An rng stand-in whose exponential draws are given in advance."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def expovariate(self, _rate):
+        return self.values.pop(0)
+
+
+def test_noise_that_overflows_a_total_is_refused(rng):
+    """Finite parameters can still give an infinite scale, or a finite
+    scale whose draw overflows a total: each is refused, not turned into
+    an OverflowError by the rounding."""
+    agg = combine_aggregates(*_run_clients([SymptomVector((1,))], rng))
+    draws = _Draws(3.0, 0.5)
+    with pytest.raises(NoiseParameterError):
+        add_dp_noise(agg, epsilon=1e-300, sensitivity=1e300, rng=draws)
+    assert len(draws.values) == 2  # refused before any draw
+    with pytest.raises(NoiseParameterError):
+        add_dp_noise(agg, epsilon=1.0, sensitivity=1e308, rng=draws)
+    assert add_dp_noise(agg, epsilon=1.0, sensitivity=2.0,
+                        rng=_Draws(3.0, 0.5)).totals == (agg.totals[0] + 5,)
+
+
 # -- report uploads ---------------------------------------------------------------
 
 
@@ -415,6 +440,15 @@ def test_feed_save_load_round_trip(tmp_path):
     save_feed(feed, path)
     again = load_feed(path)
     assert again == feed
+
+
+@pytest.mark.parametrize("line", ['{"day": "2021-03-05", "key": "L-1", "message": "m"}',
+                                  '["lot", "L-1", "m"]', '{"scope": "lot", "key": 7, "message": "m"}'])
+def test_load_feed_refuses_a_line_that_is_not_an_entry(tmp_path, line):
+    path = tmp_path / "alerts.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(CanonicalError):
+        load_feed(path)
 
 
 def test_failed_saves_leave_the_old_files_whole(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """Each module imports on its own, in a fresh interpreter, so that no
 import cycle hides behind the order in which another module loads them;
-only ``crypto`` imports the ``cryptography`` package, and ``service``
-imports neither ``socketserver`` nor ``asyncio``."""
+only ``crypto`` imports the ``cryptography`` package, and within it only
+``crypto.verify`` calls an Ed25519 verify; ``service`` imports neither
+``socketserver`` nor ``asyncio``."""
 
 import ast
 import os
@@ -47,6 +48,48 @@ def _source(module):
 def test_only_crypto_imports_cryptography():
     importers = [name for name in MODULES if _imports(_source(name), "cryptography")]
     assert importers == ["crypto"]
+
+
+def _sites(tree, match) -> list:
+    """The dotted name of the function or class around each node of
+    ``tree`` that ``match`` accepts ("" at module level)."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if match(child):
+                sites.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return sites
+
+
+def _verify_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "verify")
+
+
+def _public_key_use(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "Ed25519PublicKey"
+
+
+def test_crypto_verifies_ed25519_in_one_place():
+    """``crypto.verify`` remembers the triples it has verified. A second
+    Ed25519 verify call site would bypass that memory or duplicate it."""
+    tree = _source("crypto")
+    assert _sites(tree, _verify_call) == ["verify"]
+    assert _sites(tree, _public_key_use) == ["verify"]
+
+
+def test_the_call_site_scan_sees_nested_calls():
+    tree = ast.parse("class A:\n    def f(self):\n        key.verify(s, m)\n"
+                     "k = Ed25519PublicKey.from_public_bytes(b)\nverify(vk, m, s)\n")
+    assert _sites(tree, _verify_call) == ["A.f"]
+    assert _sites(tree, _public_key_use) == [""]
 
 
 @pytest.mark.parametrize("package", ["socketserver", "asyncio"])
