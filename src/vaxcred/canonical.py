@@ -10,7 +10,8 @@ artifacts small enough for QR codes and short links.
 Supported values: int (unsigned 64-bit), bool, bytes, str, list, dict with
 str keys, and ``Encoded`` bytes that are already canonical. None is not
 encodable; optional fields are simply omitted. Decoded maps remember the
-exact bytes they came from (``DecodedMap.raw``, a view).
+exact bytes they came from (``DecodedMap.raw``, a view). Every reader of a
+map from outside, decoded or JSON, checks its key set with ``fields``.
 """
 
 from __future__ import annotations
@@ -162,6 +163,26 @@ class Wire:
     @classmethod
     def from_bytes(cls, data: bytes):
         return cls.from_wire(decode(data))
+
+
+def fields(obj, keys: tuple, what: str, optional: tuple = ()) -> list:
+    """The values of a map read from outside under ``keys``, then under
+    ``optional`` (None where absent; a JSON null is present). CanonicalError
+    "malformed <what>" unless ``obj`` is a map with every key in ``keys`` and
+    none outside ``keys`` and ``optional``. Callers check the values' types."""
+    if isinstance(obj, dict):
+        try:
+            values = [obj[key] for key in keys]
+        except KeyError:
+            pass
+        else:
+            size = len(keys)
+            for key in optional:
+                size += key in obj
+                values.append(obj.get(key))
+            if len(obj) == size:
+                return values
+    raise CanonicalError(f"malformed {what}")
 
 
 def tuples(items) -> tuple:

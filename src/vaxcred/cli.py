@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from . import durable, qr
+from . import canonical, durable, qr
 from .config import ENV_KEYSTORE, ENV_PASSPHRASE, ENV_REGISTRY, load_config
 from .coupons import Coupon, DistributorBatch, EligibilityRecord, issue_coupon_batch
 from .credentials import Badge, DoseInfo, Passkey, Status, VaccinationLevel
@@ -126,10 +126,18 @@ def _dose_from_args(args, dose_number: int) -> DoseInfo:
     )
 
 
+def _port(value) -> int:
+    """A TCP port number from an argument; ConfigError for anything else."""
+    text = str(value)
+    if not (text.isdecimal() and len(text) <= 5 and int(text) <= 65535):
+        raise ConfigError(f"not a port number: {value!r}")
+    return int(text)
+
+
 def _signer(args, registry: Registry):
     if getattr(args, "service", None):
         host, _, port = args.service.partition(":")
-        return SigningClient(host or "127.0.0.1", int(port))
+        return SigningClient(host or "127.0.0.1", _port(port))
     return BadgeIssuer(_load_handle(args), registry)
 
 
@@ -171,10 +179,11 @@ def cmd_issuer_issue_batch(args) -> int:
 
 
 def cmd_issuer_serve(args) -> int:
+    port = _port(args.port)
     handle = _load_handle(args)
     with Registry(_registry_path(args)) as registry:
         issuer = BadgeIssuer(handle, registry)
-        server = serve(issuer, args.host, args.port)
+        server = serve(issuer, args.host, port)
         print(f"signing service on {args.host}:{server.port}", flush=True)
         try:
             import threading
@@ -207,7 +216,8 @@ def cmd_distributor_give(args) -> int:
         job_type=args.job,
         approved=not args.rejected,
     )
-    with contextlib.suppress(FileNotFoundError, ValueError), open(args.state, "rb") as fh:
+    with contextlib.suppress(FileNotFoundError, ValueError, RecursionError), \
+            open(args.state, "rb") as fh:
         data = fh.read()
         if not data.endswith(b"\n") and json.loads(data):
             raise ConfigError(f"{args.state} is distributor state in the old form: "
@@ -216,11 +226,10 @@ def cmd_distributor_give(args) -> int:
             journal.locked() as records:
         released = set()
         for r in records:
-            if not (isinstance(r, dict) and isinstance(r.get("released"), list)
-                    and all(type(index) is int for index in r["released"])):
-                raise CanonicalError(f"{args.state} holds a line that is not "
-                                     '{"released": [index, ...]}')
-            released.update(r["released"])
+            (indices,) = canonical.fields(r, ("released",), f"line in {args.state}")
+            if not (isinstance(indices, list) and all(type(i) is int for i in indices)):
+                raise CanonicalError(f"{args.state}: released indices are integers")
+            released.update(indices)
         coupon = DistributorBatch(coupons=coupons, released=released).distribute(record)
         journal.append([{"released": [coupon.payload.index]}])
     print(qr.export_coupon_url(coupon) if args.url else qr.encode_qr(coupon))
@@ -282,8 +291,12 @@ def cmd_pharmacy_vaccinate(args) -> int:
         else:
             if not args.pii_root or not args.user_pub:
                 raise ConfigError("app variant needs --pii-root and --user-pub")
+            try:
+                root = bytes.fromhex(args.pii_root)
+            except ValueError:
+                raise ConfigError(f"--pii-root is not hex: {args.pii_root!r}") from None
             badge, status = session.issue_credentials_app(
-                coupon, dose, bytes.fromhex(args.pii_root),
+                coupon, dose, root,
                 _load_pub(args.user_pub),
             )
             print(qr.encode_qr(badge))
@@ -423,6 +436,8 @@ def cmd_venue_verify(args) -> int:
 
 def cmd_venue_gate(args) -> int:
     """One contactless admission, all roles in-process (door demo)."""
+    if args.required_level not in (0, 1, 2):
+        raise ConfigError(f"--required-level is 0, 1 or 2, not {args.required_level}")
     issuer_handle = _load_handle(args)
     wallet = load_wallet(args.wallet, _passphrase(args))
     if wallet.variant != "app" or wallet.status is None:
@@ -489,16 +504,14 @@ def cmd_health_aggregate(args) -> int:
     if not rows:
         print(json.dumps({"n": 0, "totals": []}))
         return 0
-    for row in rows:
-        if not (isinstance(row, dict) and isinstance(row.get("a"), list)
-                and isinstance(row.get("b"), list)):
-            raise CanonicalError(f"{args.shares} holds a line that is not "
-                                 '{"a": [...], "b": [...]}')
-    dim = len(rows[0]["a"])
+    pairs = [canonical.fields(row, ("a", "b"), f"share line in {args.shares}") for row in rows]
+    if not all(isinstance(a, list) and isinstance(b, list) for a, b in pairs):
+        raise CanonicalError(f"{args.shares}: each share is a list")
+    dim = len(pairs[0][0])
     server_a, server_b = AggServer(dim, args.p), AggServer(dim, args.p)
-    for row in rows:
-        server_a.accumulate(row["a"])
-        server_b.accumulate(row["b"])
+    for a, b in pairs:
+        server_a.accumulate(a)
+        server_b.accumulate(b)
     agg = combine_aggregates(server_a, server_b)
     print(json.dumps({"n": agg.n_reports, "totals": list(agg.totals)}))
     return 0

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import canonical
 from .crypto import (
     TAG_COUPON_SIG,
     KeyHandle,
@@ -56,9 +57,8 @@ class CouponPayload(SignedBody):
 
     @classmethod
     def from_wire(cls, obj) -> "CouponPayload":
-        if not isinstance(obj, dict) or set(obj) != {"index", "job", "zip"}:
-            raise CanonicalError("malformed coupon payload")
-        return cls(index=obj["index"], zip_code=obj["zip"], job_type=obj["job"])
+        index, job, zip_code = canonical.fields(obj, ("index", "job", "zip"), "coupon payload")
+        return cls(index=index, zip_code=zip_code, job_type=job)
 
 
 @dataclass(frozen=True)  # not slotted: the ids are cached in the instance dict

@@ -128,18 +128,14 @@ def binding_to_wire(binding) -> dict:
 
 
 def binding_from_wire(obj) -> object:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise CanonicalError("malformed binding")
-    kind = obj["kind"]
-    if kind in _DIGEST_BINDINGS:
-        if set(obj) != {"digest", "kind"}:
-            raise CanonicalError("malformed digest binding")
-        return _DIGEST_BINDINGS[kind](obj["digest"])
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "app":
-        if set(obj) != {"key", "kind", "root"}:
-            raise CanonicalError("malformed app binding")
-        return AppBinding(user_key=VerifyingKey.from_wire(obj["key"]), pii_root=obj["root"])
-    raise CanonicalError(f"unknown binding kind {kind!r}")
+        key, _, root = canonical.fields(obj, ("key", "kind", "root"), "app binding")
+        return AppBinding(user_key=VerifyingKey.from_wire(key), pii_root=root)
+    if not isinstance(kind, str) or kind not in _DIGEST_BINDINGS:
+        raise CanonicalError(f"unknown binding kind {kind!r}")
+    digest, _ = canonical.fields(obj, ("digest", "kind"), "digest binding")
+    return _DIGEST_BINDINGS[kind](digest)
 
 
 # -- dose records ----------------------------------------------------------
@@ -173,23 +169,22 @@ class DoseInfo:
 
     @classmethod
     def from_wire(cls, obj) -> "DoseInfo":
-        if not isinstance(obj, dict) or set(obj) != {"date", "lot", "num", "product", "site"}:
-            raise CanonicalError("malformed dose record")
+        date, lot, num, product, site = canonical.fields(
+            obj, ("date", "lot", "num", "product", "site"), "dose record"
+        )
         return cls(
-            product=obj["product"],
-            lot=obj["lot"],
-            date=obj["date"],
-            dose_number=obj["num"],
-            site_id=obj["site"],
+            product=product,
+            lot=lot,
+            date=date,
+            dose_number=num,
+            site_id=site,
         )
 
 
 def parse_date(text: str) -> _dt.date:
-    if not isinstance(text, str):
-        raise CanonicalError("date must be ISO text")
     try:
         return _dt.date.fromisoformat(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: not text
         raise CanonicalError(f"bad date {text!r}") from exc
 
 
@@ -236,15 +231,13 @@ class BadgeInfo(SignedBody):
 
     @classmethod
     def from_wire(cls, obj) -> "BadgeInfo":
-        if not isinstance(obj, dict) or set(obj) != {"binding", "coupon", "doses"}:
-            raise CanonicalError("malformed badge info")
-        doses = obj["doses"]
+        binding, coupon, doses = canonical.fields(obj, ("binding", "coupon", "doses"), "badge info")
         if not isinstance(doses, list):
             raise CanonicalError("malformed dose list")
         return cls(
             dose_history=tuple(DoseInfo.from_wire(d) for d in doses),
-            coupon=Coupon.from_wire(obj["coupon"]),
-            binding=binding_from_wire(obj["binding"]),
+            coupon=Coupon.from_wire(coupon),
+            binding=binding_from_wire(binding),
         )
 
 
@@ -284,18 +277,15 @@ class StatusPayload(SignedBody):
 
     @classmethod
     def from_wire(cls, obj) -> "StatusPayload":
-        if not isinstance(obj, dict):
-            raise CanonicalError("malformed status payload")
-        keys = set(obj)
-        if keys not in ({"binding", "level"}, {"binding", "date", "level"}):
-            raise CanonicalError("malformed status payload")
-        level = obj["level"]
+        binding, level, date = canonical.fields(
+            obj, ("binding", "level"), "status payload", ("date",)
+        )
         if type(level) is not int or level not in (0, 1, 2):
             raise CanonicalError(f"bad vaccination level {level!r}")
         return cls(
             level=VaccinationLevel(level),
-            binding=binding_from_wire(obj["binding"]),
-            date=obj.get("date"),
+            binding=binding_from_wire(binding),
+            date=date,
         )
 
 
@@ -355,6 +345,5 @@ class Passkey(canonical.Wire):
 
     @classmethod
     def from_wire(cls, obj) -> "Passkey":
-        if not isinstance(obj, dict) or set(obj) != {"pii", "salt"}:
-            raise CanonicalError("malformed passkey")
-        return cls(pii=canonical.tuples(obj["pii"]), salt=obj["salt"])
+        pii, salt = canonical.fields(obj, ("pii", "salt"), "passkey")
+        return cls(pii=canonical.tuples(pii), salt=salt)

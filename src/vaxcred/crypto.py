@@ -130,9 +130,10 @@ class VerifyingKey:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "VerifyingKey":
-        if not isinstance(obj, dict) or set(obj) != {"keys", "scheme"}:
+        keys, scheme = canonical.fields(obj, ("keys", "scheme"), "verifying key")
+        if not (isinstance(keys, bytes) and len(keys) == 64 and isinstance(scheme, str)):
             raise CanonicalError("malformed verifying key")
-        return cls(key_bytes=_expect_bytes(obj, "keys", 64), scheme=_expect_text(obj, "scheme"))
+        return cls(key_bytes=keys, scheme=scheme)
 
     def hex(self) -> str:
         return self.key_bytes.hex()
@@ -144,22 +145,6 @@ class VerifyingKey:
         except (ValueError, TypeError) as exc:
             raise CanonicalError(f"not a hex key: {exc}") from exc
         return cls(key_bytes=raw)
-
-
-def _expect_bytes(obj: dict, key: str, length: int | None = None) -> bytes:
-    value = obj.get(key)
-    if not isinstance(value, bytes):
-        raise CanonicalError(f"field {key!r} must be bytes")
-    if length is not None and len(value) != length:
-        raise CanonicalError(f"field {key!r} must be {length} bytes")
-    return value
-
-
-def _expect_text(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise CanonicalError(f"field {key!r} must be text")
-    return value
 
 
 class KeyHandle:
@@ -188,9 +173,7 @@ class KeyHandle:
 
     def decrypt(self, ct: "PkCiphertext") -> bytes:
         """The plaintext ``encrypt_to`` boxed to this key; AuthFailureError
-        for a wrong key, a tampered box or a malformed one."""
-        if len(ct.nonce) != _NONCE_LEN:
-            raise AuthFailureError("malformed ciphertext")
+        for a wrong key or a tampered box."""
         key = self.derive(ct.ephemeral_pub, _PKENC_INFO)
         return aead_open(key, ct.nonce, ct.body, ct.ephemeral_pub)
 
@@ -207,6 +190,8 @@ class KeyHandle:
     @classmethod
     def unseal(cls, blob: bytes, passphrase: str) -> "KeyHandle":
         seed = open_with_passphrase(blob, passphrase, _SEAL_INFO)
+        if len(seed) != 64:
+            raise CanonicalError("a key blob holds two 32-byte seeds")
         return cls(
             Ed25519PrivateKey.from_private_bytes(seed[:32]),
             X25519PrivateKey.from_private_bytes(seed[32:]),
@@ -232,7 +217,8 @@ def open_with_passphrase(blob: bytes, passphrase: str, aad: bytes) -> bytes:
     """The plaintext of a ``seal_with_passphrase`` blob. CanonicalError
     when the blob has not that layout, AuthFailureError when the
     passphrase or ``aad`` is wrong or the blob was altered."""
-    if len(blob) < 1 + SALT_LEN + _NONCE_LEN + _TAG_LEN or blob[:1] != _SEALED_VERSION:
+    if (not isinstance(blob, bytes) or len(blob) < 1 + SALT_LEN + _NONCE_LEN + _TAG_LEN
+            or blob[:1] != _SEALED_VERSION):
         raise CanonicalError("not a sealed blob")
     kdf_salt = blob[1 : 1 + SALT_LEN]
     nonce = blob[1 + SALT_LEN : 1 + SALT_LEN + _NONCE_LEN]
@@ -364,9 +350,8 @@ class SignedEnvelope(canonical.Wire):
 
     @classmethod
     def from_wire(cls, obj) -> "SignedEnvelope":
-        if not isinstance(obj, dict) or set(obj) != {cls.BODY, "sig"}:
-            raise CanonicalError(f"malformed {cls.__name__.lower()}")
-        return cls(cls.BODY_TYPE.parse(obj[cls.BODY]), obj["sig"])
+        body, sig = canonical.fields(obj, (cls.BODY, "sig"), cls.__name__.lower())
+        return cls(cls.BODY_TYPE.parse(body), sig)
 
 
 def sign_canonical(handle: KeyHandle, value) -> bytes:
@@ -390,17 +375,22 @@ class PkCiphertext:
     nonce: bytes
     body: bytes
 
+    def __post_init__(self):
+        if not (isinstance(self.ephemeral_pub, bytes) and len(self.ephemeral_pub) == 32
+                and isinstance(self.nonce, bytes) and len(self.nonce) == _NONCE_LEN
+                and isinstance(self.body, bytes)):
+            raise CanonicalError("malformed ciphertext")
+
     def to_wire(self) -> dict:
         return {"eph": self.ephemeral_pub, "nonce": self.nonce, "body": self.body}
 
     @classmethod
     def from_wire(cls, obj: dict) -> "PkCiphertext":
-        if not isinstance(obj, dict) or set(obj) != {"body", "eph", "nonce"}:
-            raise CanonicalError("malformed ciphertext")
+        body, eph, nonce = canonical.fields(obj, ("body", "eph", "nonce"), "ciphertext")
         return cls(
-            ephemeral_pub=_expect_bytes(obj, "eph", 32),
-            nonce=_expect_bytes(obj, "nonce", 12),
-            body=_expect_bytes(obj, "body"),
+            ephemeral_pub=eph,
+            nonce=nonce,
+            body=body,
         )
 
 

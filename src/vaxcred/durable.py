@@ -30,7 +30,7 @@ def json_lines(data: bytes):
         if line.strip():
             try:
                 yield json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # nesting too deep for the parser
                 raise CanonicalError(f"corrupt JSON line {number}") from None
 
 

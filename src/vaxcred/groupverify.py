@@ -90,14 +90,15 @@ class VenueAdvertisement:
 
     @classmethod
     def from_wire(cls, obj) -> "VenueAdvertisement":
-        if not isinstance(obj, dict) or set(obj) != {"cert", "channel", "venue"}:
-            raise CanonicalError("malformed venue advertisement")
-        if not isinstance(obj["venue"], str):
+        cert, channel, venue = canonical.fields(
+            obj, ("cert", "channel", "venue"), "venue advertisement"
+        )
+        if not isinstance(venue, str):
             raise CanonicalError("malformed venue id")
         return cls(
-            venue_id=obj["venue"],
-            channel_key=VerifyingKey.from_wire(obj["channel"]),
-            cert=obj["cert"],
+            venue_id=venue,
+            channel_key=VerifyingKey.from_wire(channel),
+            cert=cert,
         )
 
     def cert_digest(self) -> bytes:
@@ -224,12 +225,9 @@ def open_channel(
 def accept_channel(identity: VenueIdentity, hello: bytes) -> _Endpoint:
     """Venue side of the handshake; AuthFailureError for an ephemeral key
     that gives no shared secret."""
-    obj = canonical.decode(hello)
-    if not isinstance(obj, dict) or set(obj) != {"eph", "venue"}:
-        raise CanonicalError("malformed channel hello")
-    if obj["venue"] != identity.venue_id:
+    eph_pub, venue = canonical.fields(canonical.decode(hello), ("eph", "venue"), "channel hello")
+    if venue != identity.venue_id:
         raise CanonicalError("hello addressed to a different venue")
-    eph_pub = obj["eph"]
     if not isinstance(eph_pub, bytes) or len(eph_pub) != 32:
         raise CanonicalError("bad ephemeral key")
     keys = identity.handle.derive(eph_pub, _CHANNEL_INFO, 64)
@@ -348,14 +346,11 @@ def receive_challenge(channel: _Endpoint, handle: KeyHandle, frame: bytes) -> st
     """Unbox the challenge; fails unless `handle` matches the key inside
     the submitted status (that is the anti-relay property)."""
     channel._require(SessionState.STATUS_RECEIVED)
-    obj = canonical.decode(channel.open(frame))
-    if not isinstance(obj, dict) or set(obj) != {"challenge"}:
-        raise CanonicalError("malformed challenge frame")
-    boxed = PkCiphertext.from_wire(obj["challenge"])
+    (challenge,) = canonical.fields(canonical.decode(channel.open(frame)), ("challenge",),
+                                    "challenge frame")
+    boxed = PkCiphertext.from_wire(challenge)
     inner = canonical.decode(handle.decrypt(boxed))
-    if not isinstance(inner, dict) or set(inner) != {"code", "window"}:
-        raise CanonicalError("malformed challenge body")
-    code = inner["code"]
+    code, _ = canonical.fields(inner, ("code", "window"), "challenge body")
     if not isinstance(code, str) or len(code) != CODE_LEN:
         raise CanonicalError("malformed challenge code")
     channel.state = SessionState.CHALLENGE_SENT

@@ -26,7 +26,7 @@ from typing import Optional
 from . import canonical, durable
 from .config import FIELD_MODULUS, MAX_REPORTS, SYMPTOM_BOUND
 from .coupons import Coupon
-from .credentials import DoseInfo
+from .credentials import DoseInfo, parse_date
 from .crypto import randomness
 from .errors import (
     CanonicalError,
@@ -73,6 +73,7 @@ class SymptomReport:
             raise CanonicalError("a bound report carries its coupon")
         if self.dose_ref is not None and len(self.dose_ref) != 3:
             raise CanonicalError("dose_ref must be (product, lot, site)")
+        parse_date(self.timestamp)
 
 
 def upload_report(registry, report: SymptomReport) -> Optional[dict]:
@@ -230,7 +231,10 @@ def add_dp_noise(
     scale = sensitivity / epsilon
     if not math.isfinite(scale):
         raise NoiseParameterError(f"noise scale {sensitivity}/{epsilon} is not finite")
-    noisy = tuple(t + laplace_sample(scale, rng) for t in agg.totals)
+    try:
+        noisy = tuple(t + laplace_sample(scale, rng) for t in agg.totals)
+    except OverflowError:  # an integer total no float can hold
+        raise NoiseParameterError("a total is beyond the range of a float") from None
     if not all(map(math.isfinite, noisy)):
         raise NoiseParameterError(f"noise of scale {scale} overflows a total")
     return AggregateResult(
@@ -251,6 +255,8 @@ class AlertEntry:
     def __post_init__(self):
         if self.scope not in ALERT_SCOPES:
             raise CanonicalError(f"unknown alert scope {self.scope!r}")
+        if not isinstance(self.key, str) or not isinstance(self.message, str):
+            raise CanonicalError("an alert's key and message are text")
 
 
 @dataclass(frozen=True)
@@ -273,12 +279,10 @@ def save_feed(feed: AlertFeed, path) -> None:
 def load_feed(path) -> AlertFeed:
     with open(path, "rb") as fh:
         records = list(durable.json_lines(fh.read()))
-    for r in records:
-        if not (isinstance(r, dict)
-                and all(isinstance(r.get(k), str) for k in ("key", "message", "scope"))):
-            raise CanonicalError(f"{path} holds a line that is not an alert entry")
-    entries = tuple(AlertEntry(r["scope"], r["key"], r["message"]) for r in records)
-    return AlertFeed(day=records[-1].get("day", "") if records else "", entries=entries)
+    what = f"alert entry in {path}"
+    rows = [canonical.fields(r, ("scope", "key", "message"), what, ("day",)) for r in records]
+    entries = tuple(AlertEntry(scope, key, message) for scope, key, message, _ in rows)
+    return AlertFeed(day=(rows[-1][3] if rows else None) or "", entries=entries)
 
 
 def feed_request_bytes(day: str) -> bytes:

@@ -48,6 +48,15 @@ def _is_text(value) -> bool:
     return True
 
 
+def _leaf(item) -> tuple:
+    """``item`` if it is a (label, value, salt) triple that ``leaf_digest``
+    can hash; CanonicalError otherwise."""
+    if not (isinstance(item, tuple) and len(item) == 3 and _is_text(item[0])
+            and _is_text(item[1]) and isinstance(item[2], bytes) and len(item[2]) == SALT_LEN):
+        raise CanonicalError("a leaf is (label, value, 16-byte salt), its text UTF-8")
+    return item
+
+
 @dataclass(frozen=True)
 class PiiTree:
     """Full tree: leaves with salts plus every internal level."""
@@ -66,7 +75,7 @@ class PiiTree:
     @classmethod
     def from_leaves(cls, leaves) -> "PiiTree":
         """Rebuild the level table from stored (label, value, salt) triples."""
-        leaves = tuple((str(l), str(v), bytes(s)) for l, v, s in leaves)
+        leaves = tuple(map(_leaf, leaves))
         pairs = tuple((l, v) for l, v, _ in leaves)
         if pii_pairs(pairs) != pairs:
             raise CanonicalError("leaves must be sorted by label")
@@ -106,13 +115,7 @@ class DisclosureProof(canonical.Wire):
         if not isinstance(self.disclosed, tuple) or not isinstance(self.paths, tuple):
             raise CanonicalError("malformed disclosure proof")
         for item in self.disclosed:
-            if not isinstance(item, tuple) or len(item) != 3:
-                raise CanonicalError("bad disclosed entry")
-            label, value, salt = item
-            if not _is_text(label) or not _is_text(value):
-                raise CanonicalError("disclosed label/value must be UTF-8 text")
-            if not isinstance(salt, bytes) or len(salt) != SALT_LEN:
-                raise CanonicalError("bad leaf salt")
+            _leaf(item)
         for path in self.paths:
             if not isinstance(path, tuple):
                 raise CanonicalError("bad path")
@@ -139,15 +142,15 @@ class DisclosureProof(canonical.Wire):
 
     @classmethod
     def from_wire(cls, obj: dict) -> "DisclosureProof":
-        if not isinstance(obj, dict) or set(obj) != {"disclosed", "paths", "root"}:
-            raise CanonicalError("malformed disclosure proof")
-        paths = obj["paths"]
+        disclosed, paths, root = canonical.fields(
+            obj, ("disclosed", "paths", "root"), "disclosure proof"
+        )
         if not isinstance(paths, list):
             raise CanonicalError("expected list")
         return cls(
-            disclosed=canonical.tuples(obj["disclosed"]),
+            disclosed=canonical.tuples(disclosed),
             paths=tuple(canonical.tuples(path) for path in paths),
-            root=obj["root"],
+            root=root,
         )
 
 

@@ -73,11 +73,11 @@ def encode_request(badge_info: BadgeInfo, status_payload: StatusPayload) -> byte
 def handle_request_bytes(issuer: BadgeIssuer, data: bytes) -> bytes:
     """Pure request -> response mapping, shared by the server and tests."""
     try:
-        obj = canonical.decode(data)
-        if not isinstance(obj, dict) or set(obj) != {"badge", "req", "status"}:
-            raise CanonicalError("malformed signing request")
+        badge, req, status = canonical.fields(
+            canonical.decode(data), ("badge", "req", "status"), "signing request"
+        )
         sig_badge, sig_status = issuer.sign_badge_request(
-            BadgeInfo.parse(obj["badge"]), StatusPayload.parse(obj["status"]), obj["req"]
+            BadgeInfo.parse(badge), StatusPayload.parse(status), req
         )
     except VaxError as exc:
         return canonical.encode({"error": exc.code, "ok": False})
@@ -189,15 +189,11 @@ class SigningClient:
         with self._lock:
             response = self._exchange(request)
         obj = canonical.decode(response)
-        if not isinstance(obj, dict) or "ok" not in obj:
-            raise CanonicalError("malformed signing response")
-        if obj["ok"] is True:
-            if set(obj) != {"ok", "sb", "ss"}:
-                raise CanonicalError("malformed signing response")
-            return obj["sb"], obj["ss"]
-        if set(obj) != {"error", "ok"}:
-            raise CanonicalError("malformed signing response")
-        raise errors.error_from_code(obj["error"])
+        if isinstance(obj, dict) and obj.get("ok") is True:
+            _, sig_badge, sig_status = canonical.fields(obj, ("ok", "sb", "ss"), "signing response")
+            return sig_badge, sig_status
+        code, _ = canonical.fields(obj, ("error", "ok"), "signing response")
+        raise errors.error_from_code(code)
 
     def _exchange(self, request: bytes) -> bytes:
         """Send one frame and read the reply. A failure after a connection

@@ -96,18 +96,12 @@ class Presentation(canonical.Wire):
 
     @classmethod
     def from_wire(cls, obj) -> "Presentation":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise CanonicalError("malformed presentation")
+        kind = canonical.fields(obj, ("kind",), "presentation", tuple(_PART_TYPES))[0]
         try:
-            kind = PresentationKind(obj["kind"])
+            kind = PresentationKind(kind)
         except ValueError:
-            raise CanonicalError(f"unknown presentation kind {obj['kind']!r}") from None
-        kwargs = {}
-        for name, typ in _PART_TYPES.items():
-            if name in obj:
-                kwargs[name] = typ.from_wire(obj[name])
-        if set(obj) - {"kind"} != set(kwargs):
-            raise CanonicalError("malformed presentation")
+            raise CanonicalError(f"unknown presentation kind {kind!r}") from None
+        kwargs = {n: typ.from_wire(obj[n]) for n, typ in _PART_TYPES.items() if n in obj}
         return cls(kind=kind, **kwargs)
 
 
@@ -223,10 +217,8 @@ def second_dose_due(state: WalletState, today, interval_days: int = config.DOSE_
     history = state.badge.info.dose_history
     if len(history) != 1:
         raise NotApplicableError("vaccination course already complete")
-    if isinstance(today, str):
+    if not isinstance(today, _dt.date):
         today = parse_date(today)
-    elif not isinstance(today, _dt.date):
-        raise CanonicalError("today must be a date or ISO text")
     days = (today - parse_date(history[0].date)).days
     return days >= interval_days, days
 
@@ -251,18 +243,14 @@ def _wallet_wire(state: WalletState, passphrase: str) -> dict:
 
 
 def _wallet_from_wire(obj: dict, passphrase: str) -> WalletState:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise CanonicalError("malformed wallet body")
-    if set(obj) - {"variant", "key", "leaves", *_STORED_TYPES}:
-        raise CanonicalError("malformed wallet body")
-    tree = None
-    if "leaves" in obj:
-        leaves = [(l, v, s) for l, v, s in obj["leaves"]]
-        tree = PiiTree.from_leaves(leaves)
+    variant, key, leaves = canonical.fields(
+        obj, ("variant",), "wallet body", ("key", "leaves", *_STORED_TYPES)
+    )[:3]
+    tree = PiiTree.from_leaves(canonical.tuples(leaves)) if "leaves" in obj else None
     stored = {n: typ.from_wire(obj[n]) for n, typ in _STORED_TYPES.items() if n in obj}
     return WalletState(
-        variant=obj["variant"],
-        key=KeyHandle.unseal(obj["key"], passphrase) if "key" in obj else None,
+        variant=variant,
+        key=KeyHandle.unseal(key, passphrase) if "key" in obj else None,
         pii_tree=tree,
         **stored,
     )

@@ -160,3 +160,43 @@ def test_mutation_never_decodes_to_original(value, data):
     # a successful decode of different bytes must yield a different value:
     # every value has exactly one accepted encoding
     assert decoded != value
+
+
+# -- the one shape check of a map read from outside -------------------------------
+
+
+def test_fields_returns_the_values_in_the_order_asked():
+    obj = {"b": 2, "a": 1, "c": 3}
+    assert canonical.fields(obj, ("c", "a", "b"), "thing") == [3, 1, 2]
+    assert canonical.fields(obj, ("a",), "thing", ("d", "c", "b")) == [1, None, 3, 2]
+
+
+def test_fields_decides_presence_by_the_key():
+    """A JSON null is present: it fills a required key, and an optional
+    key holding it still counts against the map's size."""
+    assert canonical.fields({"a": None}, ("a",), "thing") == [None]
+    assert canonical.fields({"a": 1, "b": None}, ("a",), "thing", ("b",)) == [1, None]
+    with pytest.raises(CanonicalError, match="malformed thing"):
+        canonical.fields({"a": 1, "b": None, "z": None}, ("a",), "thing", ("b",))
+
+
+@pytest.mark.parametrize("obj", [None, 7, "ab", [["a", 1]], b"a", {}, {"a": 1},
+                                 {"a": 1, "b": 2, "z": 3}, {"b": 2}, {"a": 1, "z": 3}])
+def test_fields_refuses_every_other_shape(obj):
+    with pytest.raises(CanonicalError, match="^malformed thing$"):
+        canonical.fields(obj, ("a", "b"), "thing")
+
+
+@given(st.sets(st.sampled_from("abcdefgh")), st.sets(st.sampled_from("abcdefgh")),
+       st.sets(st.sampled_from("abcdefghij")))
+@settings(max_examples=300, deadline=None)
+def test_fields_accepts_exactly_the_key_sets_between_required_and_optional(keys, optional,
+                                                                          present):
+    optional = optional - keys
+    obj = {key: key.upper() for key in present}
+    if keys <= present <= keys | optional:
+        assert canonical.fields(obj, tuple(keys), "x", tuple(optional)) == [
+            obj.get(key) for key in (*keys, *optional)]
+    else:
+        with pytest.raises(CanonicalError):
+            canonical.fields(obj, tuple(keys), "x", tuple(optional))

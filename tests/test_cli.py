@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 import stat
@@ -13,7 +14,7 @@ import pytest
 
 from vaxcred import cli
 from vaxcred.coupons import Coupon
-from vaxcred.crypto import KeyHandle
+from vaxcred.crypto import KeyHandle, generate_keypair
 from vaxcred.qr import decode_qr, encode_qr
 from vaxcred.registry import Registry, Stage
 from vaxcred.service import SigningClient, serve
@@ -150,7 +151,8 @@ def test_distributor_refuses_an_old_state_file(capsys, env):
 
 
 @pytest.mark.parametrize("line", ['{"released": "x"}', '{"released": [99]}',
-                                  '{"released": [true]}', '{"released": 1}', '[0]'])
+                                  '{"released": [true]}', '{"released": 1}', '[0]',
+                                  pytest.param("[" * 100_000, id="nested-too-deep")])
 def test_distributor_refuses_a_malformed_state_line(capsys, env, line):
     """A state line that is not a list of the batch's indices is refused:
     ``"x"`` was read as the index set {"x"} and [99] was passed over."""
@@ -409,7 +411,8 @@ def test_second_dose_and_due(capsys, env):
     assert code == 2  # course already complete for that coupon
 
 
-def test_venue_gate_demo(capsys, env):
+def _gate_wallet(capsys, env):
+    """An app wallet holding a first-dose status, ready for the gate."""
     batch = _issue_batch(capsys, env, n=1)
     wallet = env / "gate.sealed"
     code, out, _ = run(
@@ -430,7 +433,11 @@ def test_venue_gate_demo(capsys, env):
     bdg, sts = out.splitlines()[:2]
     run(capsys, "user", "store", "--wallet", str(wallet),
         "--badge", bdg, "--status", sts)
+    return wallet
 
+
+def test_venue_gate_demo(capsys, env):
+    wallet = _gate_wallet(capsys, env)
     code, out, _ = run(capsys, "venue", "gate", "--wallet", str(wallet),
                        "--required-level", "1", "--seed", "7")
     assert code == 0 and out.startswith("admit: code ")
@@ -442,6 +449,49 @@ def test_venue_gate_demo(capsys, env):
                        "--required-level", "1", "--seed", "7",
                        "--rotation", "60", "--delay", "120")
     assert code == 2 and out == "reject: stale-code\n"
+
+
+@pytest.mark.parametrize("level", ["7", "-1"])
+def test_venue_gate_refuses_a_level_with_no_meaning(capsys, env, level):
+    wallet = _gate_wallet(capsys, env)
+    code, out, err = run(capsys, "venue", "gate", "--wallet", str(wallet),
+                         "--required-level", level)
+    assert code == 2 and out == "" and err.startswith("error (config)")
+
+
+def test_issuer_serve_refuses_a_port_out_of_range(capsys, env):
+    assert run(capsys, "issuer", "keygen")[0] == 0
+    code, out, err = run(capsys, "issuer", "serve", "--port", "99999")
+    assert code == 2 and out == "" and err.startswith("error (config)")
+
+
+@pytest.mark.parametrize("service", ["localhost:xx", "localhost:99999", "localhost"])
+def test_vaccinate_refuses_a_service_port_that_is_not_one(capsys, env, service):
+    batch = _issue_batch(capsys, env, n=1)
+    code, out, err = run(
+        capsys, "pharmacy", "vaccinate", "--coupon", batch[0],
+        "--issuer-pub", "@" + str(env / "issuer.key.pub"),
+        "--variant", "paper", "--pii", "name=Ada Q",
+        "--product", "VX-ALPHA", "--lot", "L-1", "--site", "S-01",
+        "--date", "2021-03-01", "--service", service,
+    )
+    assert code == 2 and out == "" and err.startswith("error (config)")
+
+
+def test_vaccinate_refuses_a_pii_root_that_is_not_hex(capsys, env):
+    batch = _issue_batch(capsys, env, n=1)
+    holder = generate_keypair(random.Random(3))[1].hex()
+    code, out, err = run(
+        capsys, "pharmacy", "vaccinate", "--coupon", batch[0],
+        "--issuer-pub", "@" + str(env / "issuer.key.pub"),
+        "--variant", "app", "--pii-root", "zz", "--user-pub", holder,
+        "--product", "VX-ALPHA", "--lot", "L-1", "--site", "S-01",
+        "--date", "2021-03-01",
+    )
+    assert code == 2 and out == "" and err.startswith("error (config)")
+    code, out, _ = run(capsys, "pharmacy", "admit", "--coupon", batch[0],
+                       "--issuer-pub", "@" + str(env / "issuer.key.pub"))
+    assert code == 0 and out == "admit: ok\n"  # no dose was recorded
 
 
 def test_health_pipeline_via_files(capsys, env):
@@ -485,6 +535,21 @@ def test_health_noise_refuses_an_infinite_scale(capsys):
                          "--epsilon", "1e-300", "--sensitivity", "1e300")
     assert code == 2 and out == ""
     assert err.startswith("error (noise-parameter)")
+
+
+def test_health_noise_refuses_a_total_beyond_float_range(capsys):
+    code, out, err = run(capsys, "health", "noise", "--totals", "1" + "0" * 400, "--n", "2",
+                         "--epsilon", "1", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error (noise-parameter)")
+
+
+def test_health_report_refuses_a_date_that_is_not_one(capsys, env):
+    store = env / "reports.jsonl"
+    code, out, err = run(capsys, "health", "report", "--vector", "1,0,2", "--store",
+                         str(store), "--date", "xx")
+    assert code == 2 and out == "" and err.startswith("error (canonical)")
+    assert not store.exists()
 
 
 def test_health_split_refuses_a_vector_that_is_not_integers(capsys):

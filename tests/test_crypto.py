@@ -190,6 +190,15 @@ def test_unseal_tampered_blob(rng):
         KeyHandle.unseal(bytes(blob), "pw")
 
 
+@pytest.mark.parametrize("size", [0, 32, 63, 65])
+def test_unseal_refuses_a_seed_that_is_not_64_bytes(size):
+    """A key blob sealed with the right passphrase but holding a seed of
+    another size raised ``ValueError`` from the key constructors."""
+    blob = crypto.seal_with_passphrase(bytes(size), "pw", crypto._SEAL_INFO)
+    with pytest.raises(CanonicalError):
+        KeyHandle.unseal(blob, "pw")
+
+
 def test_seal_blobs_differ_per_call(rng):
     handle, _ = generate_keypair(rng)
     assert handle.seal("pw") != handle.seal("pw")  # fresh salt + nonce

@@ -22,7 +22,7 @@ import pytest
 from vaxcred import durable
 from vaxcred.coupons import issue_coupon_batch
 from vaxcred.crypto import KeyHandle, generate_keypair
-from vaxcred.errors import AlreadyUsedError, DismantledError
+from vaxcred.errors import AlreadyUsedError, CanonicalError, DismantledError
 from vaxcred.qr import encode_qr
 from vaxcred.registry import Registry, Stage
 from vaxcred.wallet import load_wallet, save_wallet, wallet_init_paper
@@ -285,3 +285,10 @@ def test_crash_during_a_report(tmp_path):
         " '--registry', 'reg.log', '--date', '2021-04-02']) == 0",
         check,
     )
+
+
+def test_a_line_nested_too_deep_for_the_parser_is_corrupt():
+    """``json`` raises RecursionError, not ValueError, on deep nesting, and
+    it escaped every reader of a JSON-lines file as an internal error."""
+    with pytest.raises(CanonicalError):
+        list(durable.json_lines(b'{"a": 1}\n' + b"[" * 100_000 + b"\n"))

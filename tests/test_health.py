@@ -28,6 +28,7 @@ from vaxcred.errors import (
     WrongStateError,
 )
 from vaxcred.health import (
+    AggregateResult,
     AggServer,
     AlertEntry,
     SymptomReport,
@@ -327,6 +328,14 @@ def test_noise_that_overflows_a_total_is_refused(rng):
                         rng=_Draws(3.0, 0.5)).totals == (agg.totals[0] + 5,)
 
 
+def test_a_total_beyond_float_range_is_refused():
+    """An integer total no float can hold raised OverflowError when the
+    float noise was added to it."""
+    agg = AggregateResult(totals=(4, 10**400), n_reports=2)
+    with pytest.raises(NoiseParameterError):
+        add_dp_noise(agg, epsilon=1.0, rng=random.Random(1))
+
+
 # -- report uploads ---------------------------------------------------------------
 
 
@@ -410,6 +419,14 @@ def test_report_shape_validation():
         SymptomReport(vec, "2021-01-01", coupon=b"\x77" * 32)  # an id, not the coupon
     with pytest.raises(CanonicalError):
         SymptomReport(vec, "2021-01-01", dose_ref=("VX", "L"))
+
+
+@pytest.mark.parametrize("timestamp", ["xx", "", "2021-02-30", None, 20210101])
+def test_a_report_is_dated(timestamp):
+    """A report's timestamp was stored as given, so ``health report
+    --date xx`` stored a report dated "xx"."""
+    with pytest.raises(CanonicalError):
+        SymptomReport(SymptomVector((1, 2)), timestamp)
 
 
 def test_upload_rejected_after_dismantle(issuer, rng):

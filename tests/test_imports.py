@@ -2,11 +2,13 @@
 import cycle hides behind the order in which another module loads them;
 only ``crypto`` imports the ``cryptography`` package, and within it only
 ``crypto.verify`` calls an Ed25519 verify; ``service`` imports neither
-``socketserver`` nor ``asyncio``."""
+``socketserver`` nor ``asyncio``; no module but ``canonical`` checks a
+map's key set by hand."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -104,3 +106,26 @@ def test_the_import_scan_sees_both_forms():
     assert _imports(ast.parse("import cryptography.exceptions"), "cryptography")
     assert _imports(ast.parse("from cryptography.hazmat import primitives"), "cryptography")
     assert not _imports(ast.parse("from .crypto import verify\nimport hashlib"), "cryptography")
+
+
+# a map's key set checked by hand, or a per-field helper beside it
+_HAND_SHAPE_CHECK = re.compile(r"\bset\(\w+\)\s*[!=]=\s*\{|\b_expect_\w*")
+
+
+def _hand_shape_checks(text: str) -> list:
+    return [number for number, line in enumerate(text.splitlines(), 1)
+            if _HAND_SHAPE_CHECK.search(line)]
+
+
+def test_map_shapes_are_checked_only_by_canonical_fields():
+    """Every reader of a map from outside checks its keys with
+    ``canonical.fields``, so the rule is written once."""
+    found = {module: _hand_shape_checks((SRC / "vaxcred" / f"{module}.py").read_text())
+             for module in MODULES if module != "canonical"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_the_shape_scan_sees_each_form():
+    text = ('if set(obj) != {"a"}:\nif set(inner) == {"b"}:\n'
+            'x = _expect_bytes(obj, "k")\nkeys = set(obj)\n')
+    assert _hand_shape_checks(text) == [1, 2, 3]

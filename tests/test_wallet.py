@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from vaxcred import canonical, crypto, wallet
 from vaxcred.coupons import issue_coupon_batch
 from vaxcred.crypto import KeyHandle
 from vaxcred.credentials import DoseInfo, VaccinationLevel
 from vaxcred.errors import (
     AuthFailureError,
+    CanonicalError,
     ConsentDeniedError,
     EmptyRequestError,
     MismatchError,
@@ -307,3 +309,36 @@ def test_wallet_file_is_opaque(tmp_path, paper_wallet):
     assert paper_wallet.badge.to_bytes() not in raw
     assert b"Lee Holder" not in raw
     assert b"1970-01-02" not in raw
+
+
+def _sealed_body(path, body: dict, passphrase: str) -> None:
+    """A wallet file holding ``body``, sealed with the right passphrase."""
+    blob = crypto.seal_with_passphrase(canonical.encode(body), passphrase, wallet._WALLET_INFO)
+    path.write_bytes(blob)
+
+
+@pytest.mark.parametrize("body", [
+    {"variant": "app", "leaves": [[1, 2]]},  # was ValueError
+    {"variant": "app", "leaves": 7},  # was TypeError
+    {"variant": "app", "leaves": [["name", "Ann", 7]]},  # was bytes(7), seven zero bytes
+    {"variant": "app", "key": 7},  # was TypeError
+    {"variant": "app", "key": b"\x01" * 20},
+    {"variant": "app", "purse": b""},
+    {"leaves": []},
+    [],
+])
+def test_a_malformed_wallet_body_is_refused(tmp_path, body):
+    path = tmp_path / "w.bin"
+    _sealed_body(path, body, "pw")
+    with pytest.raises(CanonicalError):
+        load_wallet(path, "pw")
+
+
+def test_a_wallet_key_with_a_short_seed_is_refused(tmp_path):
+    """The sealed key inside a wallet held a 63-byte seed: ``cryptography``
+    raised ``ValueError`` through ``load_wallet``."""
+    key = crypto.seal_with_passphrase(bytes(63), "pw", crypto._SEAL_INFO)
+    path = tmp_path / "w.bin"
+    _sealed_body(path, {"variant": "app", "key": key}, "pw")
+    with pytest.raises(CanonicalError):
+        load_wallet(path, "pw")

@@ -294,6 +294,23 @@ def test_signing_request_with_an_extra_key_is_refused(issuer, registry, app_pair
     assert send(frame["status"])["ok"] is True
 
 
+def test_a_binding_kind_that_is_not_text_is_refused(issuer, registry, app_pair):
+    """A binding whose kind is a list, not text, raised TypeError (the list
+    is unhashable), and the signing service answered ``internal``."""
+    badge, status = app_pair
+    wire = canonical.decode(status.to_bytes())
+    binding = {**wire["payload"]["binding"], "kind": []}
+    with pytest.raises(CanonicalError):
+        Status.from_bytes(canonical.encode({**wire, "payload": {**wire["payload"],
+                                                                "binding": binding}}))
+    frame = canonical.decode(encode_request(badge.info, status.payload))
+    body = {"badge": frame["badge"], "status": {**frame["status"], "binding": binding}}
+    request = {**body, "req": sha256(canonical.encode(body))}
+    out = canonical.decode(handle_request_bytes(BadgeIssuer(issuer, registry),
+                                                canonical.encode(request)))
+    assert out == {"error": "canonical", "ok": False}
+
+
 def test_qr_unencodable_type():
     with pytest.raises(UnknownPrefixError):
         encode_qr("just a string")
