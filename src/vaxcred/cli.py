@@ -270,7 +270,6 @@ def _pharmacy_session(args):
                 vk_issuer=_load_pub(args.issuer_pub),
                 registry=registry,
                 signer=signer,
-                today=_today(args),
             )
         finally:
             if isinstance(signer, SigningClient):

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .config import DEFAULT_JOB_TYPES
 
-_ZIP_RE = re.compile(r"^[0-9]{5}$")
+_ZIP_RE = re.compile(r"[0-9]{5}")
 _MAX_INDEX = 2 ** 64 - 1
 
 
@@ -47,7 +47,7 @@ class CouponPayload(SignedBody):
             raise CanonicalError("coupon index must be an integer")
         if not 0 <= self.index <= _MAX_INDEX:
             raise CanonicalError("coupon index out of range")
-        if not isinstance(self.zip_code, str) or not _ZIP_RE.match(self.zip_code):
+        if not isinstance(self.zip_code, str) or not _ZIP_RE.fullmatch(self.zip_code):
             raise InvalidZipError(f"bad zip code {self.zip_code!r}")
         if not isinstance(self.job_type, str) or not self.job_type:
             raise InvalidJobTypeError("job type must be non-empty text")

@@ -182,10 +182,15 @@ class DoseInfo:
 
 
 def parse_date(text: str) -> _dt.date:
+    """The day a ``YYYY-MM-DD`` text names. That is a date's one spelling:
+    from 3.11 ``fromisoformat`` also reads ``20210301`` and ``2021-W09-1``."""
     try:
-        return _dt.date.fromisoformat(text)
+        day = _dt.date.fromisoformat(text)
     except (TypeError, ValueError) as exc:  # TypeError: not text
         raise CanonicalError(f"bad date {text!r}") from exc
+    if day.isoformat() != text:
+        raise CanonicalError(f"bad date {text!r}")
+    return day
 
 
 # -- badge -----------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Scripted end-to-end runs with a logical clock and seeded randomness.
 
 A scenario is an ordered list of role actions, each stamped with a
-logical time in seconds (dates derive from it; nothing reads the wall
-clock). All randomness — keys, salts, ephemeral channel keys, shares,
-challenge draws — comes from one seeded generator, so a given (script,
-seed) pair produces a byte-identical transcript log every run.
+logical time in seconds; dates derive from it, counted from 2021-01-04.
+The one read of the wall clock is the issuer's refusal of a dose dated
+after its own UTC date; no date of the built-in scripts reaches it. All
+randomness — keys, salts, ephemeral channel keys, shares, challenge
+draws — comes from one seeded generator, so a given (script, seed) pair
+produces a byte-identical transcript log every run.
 
 Action failures are logged as rejections and the run continues; only a
 malformed script itself raises.
@@ -101,21 +103,15 @@ class _World:
         self.issuer_handle, self.issuer_key = generate_keypair(self.rng)
         self.registry = Registry()
         self.signer = BadgeIssuer(self.issuer_handle, self.registry)
+        self.pharmacy = PharmacySession(
+            vk_issuer=self.issuer_key, registry=self.registry, signer=self.signer, rng=self.rng
+        )
         self.batches = {}  # (zip, job) -> DistributorBatch
         self.wallets = {}  # user id -> WalletState
         self.pending_coupons = {}  # coupons handed out before wallet init
         self.servers = None
         self._plain_sum = None
         self.violations = []
-
-    def pharmacy(self, at: int) -> PharmacySession:
-        return PharmacySession(
-            vk_issuer=self.issuer_key,
-            registry=self.registry,
-            signer=self.signer,
-            today=_date_at(at),
-            rng=self.rng,
-        )
 
     # -- actions ----------------------------------------------------------
 
@@ -161,7 +157,6 @@ class _World:
     def act_dose(self, at, action, dose_number):
         user = action["user"]
         wallet = self.wallets[user]
-        session = self.pharmacy(at)
         dose = DoseInfo(
             product=action.get("product", "VX-ALPHA"),
             lot=action.get("lot", f"L-{dose_number}{at // _SECONDS_PER_DAY:03d}"),
@@ -172,19 +167,19 @@ class _World:
         if dose_number == 1:
             if wallet.variant == "paper":
                 pii = action.get("pii", [["name", user], ["dob", "1980-01-01"]])
-                badge, status, passkey = session.issue_credentials_paper(
+                badge, status, passkey = self.pharmacy.issue_credentials_paper(
                     wallet.coupon, dose, pii
                 )
                 store_credentials(wallet, badge, status, passkey)
             else:
-                badge, status = session.issue_credentials_app(
+                badge, status = self.pharmacy.issue_credentials_app(
                     wallet.coupon, dose, wallet.pii_tree.root,
                     wallet.verifying_key,
                 )
                 store_credentials(wallet, badge, status)
         else:
             user_key = wallet.verifying_key if wallet.variant == "app" else None
-            badge, status = session.second_dose(wallet.badge, dose, user_key=user_key)
+            badge, status = self.pharmacy.second_dose(wallet.badge, dose, user_key=user_key)
             store_credentials(wallet, badge, status)
         self.log.append(
             at, user, f"dose{dose_number}", True,
@@ -270,13 +265,12 @@ class _World:
     def act_double_spend(self, at, action):
         user = action["user"]
         wallet = self.wallets[user]
-        session = self.pharmacy(at)
         dose = DoseInfo(
             product="VX-ALPHA", lot="L-DSP", date=_date_at(at),
             dose_number=1, site_id="S-99",
         )
         try:
-            session.issue_credentials_paper(
+            self.pharmacy.issue_credentials_paper(
                 wallet.coupon, dose, [["name", "impostor"]]
             )
             self.log.append(at, "pharmacy", "double-spend", True, user=user)

@@ -17,11 +17,20 @@ presenter holds that exact badge. Any other badge is verified.
 
 The pharmacy never forwards raw identity fields to the issuer; only the
 salted commitment or tree root leaves the counter.
+
+Each course rule has one home. BadgeInfo states the shape of a course:
+one or two doses, numbered 1..n, the second not dated before the first.
+The issuer states the signing policy, as it alone makes the signature
+and a remote counter may skip any check: every dose is of the first
+dose's product, and none is dated after the issuer's own clock. The
+registry states the one-use stages, so a completed badge is wrong-state.
+The counter checks only admission: the coupon or badge shown, and its stage.
 """
 
 from __future__ import annotations
 
 import contextlib
+import datetime as _dt
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,7 +119,9 @@ class BadgeIssuer:
 
     def sign_badge_request(self, badge_info: BadgeInfo, status_payload: StatusPayload,
                            digest: Optional[bytes] = None):
-        """Returns (badge signature, status signature) or raises a typed error.
+        """Returns (badge signature, status signature) or raises a typed error:
+        the status must be the badge's, the coupon genuine, the course of one
+        product and no dose dated in the future.
 
         ``digest`` is the one a signing frame carries; a request whose
         derived digest differs is refused before anything is recorded.
@@ -126,6 +137,16 @@ class BadgeIssuer:
         user_key = getattr(status_payload.binding, "user_key", None)
         if status_payload != status_for(badge_info, user_key):
             raise MismatchError("status does not match the badge")
+        first, last = badge_info.dose_history[0], badge_info.dose_history[-1]
+        if last.product != first.product:  # BadgeInfo allows two doses at most
+            raise ProductMismatchError(
+                f"course started with {first.product!r}, got {last.product!r}"
+            )
+        # BadgeInfo orders the dates, so the last dose is the latest. UTC plus
+        # a day, as a counter's local date can lead UTC by up to 14 h.
+        utc_today = _dt.datetime.now(_dt.timezone.utc).date()
+        if parse_date(last.date) > utc_today + _dt.timedelta(days=1):
+            raise CanonicalError(f"dose date {last.date} is in the future")
 
         badge_sig = self._handle.sign(badge_bytes)  # deterministic: a retry signs alike
         self._registry.mark_used(
@@ -150,20 +171,7 @@ class PharmacySession:
     vk_issuer: VerifyingKey
     registry: Registry
     signer: object
-    today: Optional[str] = None  # clamp for dose dates; None skips the check
     rng: object = None
-
-    def _check_date(self, dose: DoseInfo) -> None:
-        if self.today is not None and parse_date(dose.date) > parse_date(self.today):
-            raise CanonicalError(f"dose date {dose.date} is in the future")
-
-    def _admit_first(self, coupon: Coupon, dose: DoseInfo) -> None:
-        """Admission, dose number and date checks of a first dose; they
-        run before anything is drawn from the rng."""
-        check_admission(self.vk_issuer, self.registry, coupon)
-        if dose.dose_number != 1:
-            raise WrongStateError("first visit must record dose number 1")
-        self._check_date(dose)
 
     def _sign(self, badge_info: BadgeInfo, user_key: Optional[VerifyingKey] = None):
         """(badge, status) for ``badge_info`` and the status that goes with
@@ -174,7 +182,7 @@ class PharmacySession:
 
     def issue_credentials_paper(self, coupon: Coupon, dose: DoseInfo, pii):
         """First dose, paper wallet: returns (badge, status, passkey)."""
-        self._admit_first(coupon, dose)
+        check_admission(self.vk_issuer, self.registry, coupon)
         pii = pii_pairs(pii)
         salt = new_salt(self.rng)
         commitment = Commitment(pii_commitment(pii, salt))
@@ -185,7 +193,7 @@ class PharmacySession:
                               user_key: VerifyingKey):
         """First dose, app wallet: returns (badge, status). The pharmacy
         only ever sees the tree root, never the leaves."""
-        self._admit_first(coupon, dose)
+        check_admission(self.vk_issuer, self.registry, coupon)
         badge_info = BadgeInfo(dose_history=(dose,), coupon=coupon, binding=TreeRoot(pii_root))
         return self._sign(badge_info, user_key)
 
@@ -202,18 +210,6 @@ class PharmacySession:
                 state = self.registry.match_badge(badge.info.coupon.coupon_id, digest)
         if state is None and verify_badge(self.vk_issuer, badge) is None:
             raise BadSignatureError("badge signature does not verify")
-        if len(badge.info.dose_history) != 1:
-            raise WrongStateError("badge already records a completed course")
-        if dose.dose_number != 2:
-            raise WrongStateError("second visit must record dose number 2")
-        self._check_date(dose)
-        first = badge.info.dose_history[0]
-        if parse_date(dose.date) < parse_date(first.date):
-            raise CanonicalError("second dose dated before the first")
-        if dose.product != first.product:
-            raise ProductMismatchError(
-                f"course started with {first.product!r}, got {dose.product!r}"
-            )
         state = state or self.registry.check(badge.info.coupon.coupon_id)
         if state.stage is not Stage.DOSE1:
             raise WrongStateError(f"coupon is {state.stage.value}, expected dose1")

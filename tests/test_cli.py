@@ -14,7 +14,10 @@ import pytest
 
 from vaxcred import cli
 from vaxcred.coupons import Coupon
+from vaxcred.credentials import DoseInfo, PasskeyHash, StatusPayload, VaccinationLevel
 from vaxcred.crypto import KeyHandle, generate_keypair
+from vaxcred.errors import CanonicalError
+from vaxcred.health import SymptomReport, SymptomVector
 from vaxcred.qr import decode_qr, encode_qr
 from vaxcred.registry import Registry, Stage
 from vaxcred.service import SigningClient, serve
@@ -409,6 +412,35 @@ def test_second_dose_and_due(capsys, env):
         "--date", "2021-03-22",
     )
     assert code == 2  # course already complete for that coupon
+
+
+@pytest.mark.parametrize("spelling", ["20210301", "2021-W09-1"])
+def test_a_date_has_one_spelling(capsys, env, spelling):
+    """From 3.11 ``date.fromisoformat`` reads both as 2021-03-01. A date
+    is written YYYY-MM-DD only, so each reader of one refuses them."""
+    with pytest.raises(CanonicalError):
+        DoseInfo(product="VX-ALPHA", lot="L-1", date=spelling, dose_number=1, site_id="S-01")
+    with pytest.raises(CanonicalError):
+        StatusPayload(VaccinationLevel.DOSE1, PasskeyHash(bytes(32)), spelling)
+    with pytest.raises(CanonicalError):
+        SymptomReport(vector=SymptomVector((1, 0, 2)), timestamp=spelling)
+    bdg, sts, psk = _vaccinate_paper(capsys, env, _issue_batch(capsys, env, n=1)[0])
+    wallet = env / "w.sealed"
+    run(capsys, "user", "init", "--wallet", str(wallet), "--variant", "paper")
+    run(capsys, "user", "store", "--wallet", str(wallet),
+        "--badge", bdg, "--status", sts, "--passkey", psk)
+    due = ("user", "due", "--wallet", str(wallet), "--date")
+    assert run(capsys, *due, "2021-03-01")[0] == 0
+    code, out, err = run(capsys, *due, spelling)
+    assert code == 2 and out == "" and err.startswith("error (canonical)")
+
+
+def test_a_zip_code_is_five_digits_and_nothing_after(capsys, env):
+    """``$`` also matches before a final newline; a zip is matched whole."""
+    assert run(capsys, "issuer", "keygen")[0] == 0
+    code, out, err = run(capsys, "issuer", "issue-batch", "--n", "1", "--zip", "02139\n",
+                         "--job", "healthcare")
+    assert code == 2 and out == "" and err.startswith("error (invalid-zip)")
 
 
 def _gate_wallet(capsys, env):

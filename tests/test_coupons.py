@@ -45,6 +45,8 @@ def test_zip_validation():
         CouponPayload(index=0, zip_code="0213a", job_type="healthcare")
     with pytest.raises(InvalidZipError):
         CouponPayload(index=0, zip_code="021394", job_type="healthcare")
+    with pytest.raises(InvalidZipError):
+        CouponPayload(index=0, zip_code="02139\n", job_type="healthcare")
 
 
 def test_coupon_id_is_payload_hash():

@@ -2,6 +2,7 @@
 registry/signing interplay (atomicity, idempotent retries, offline signer)."""
 
 import dataclasses
+import datetime
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from vaxcred.errors import (
     AlreadyUsedError,
     BadCouponError,
     BadSignatureError,
+    CanonicalError,
     MismatchError,
     ProductMismatchError,
     ServiceUnreachableError,
@@ -36,7 +38,13 @@ from vaxcred.errors import (
 from vaxcred.merkle import build_pii_tree
 from vaxcred.registry import Registry, Stage
 from vaxcred.service import SigningClient, encode_request, handle_request_bytes
-from vaxcred.vaccination import BadgeIssuer, PharmacySession, badge_digest, check_admission
+from vaxcred.vaccination import (
+    BadgeIssuer,
+    PharmacySession,
+    badge_digest,
+    check_admission,
+    signing_request,
+)
 from vaxcred.verification import verify_badge, verify_status
 
 PII = [("dob", "1962-11-30"), ("name", "Sam Example")]
@@ -321,13 +329,87 @@ def test_issue_forged_coupon_rejected(session, coupon):
         session.issue_credentials_paper(forged, _dose(), PII)
 
 
-def test_future_dose_date_rejected(issuer, issuer_key, registry, coupon, rng):
-    session = PharmacySession(
-        vk_issuer=issuer_key, registry=registry,
-        signer=BadgeIssuer(issuer, registry), today="2021-02-01", rng=rng,
-    )
-    with pytest.raises(VaxError):
-        session.issue_credentials_paper(coupon, _dose(date="2021-02-02"), PII)
+def _utc_day(days: int) -> str:
+    """The UTC date ``days`` from now: the clock the issuer's date rule reads."""
+    today = datetime.datetime.now(datetime.timezone.utc).date()
+    return (today + datetime.timedelta(days=days)).isoformat()
+
+
+def test_future_dose_date_rejected(registry, coupon, session):
+    """The issuer refuses a dose dated past its own UTC date and a day's
+    grace, before the registry moves; the counter reads no clock."""
+    with pytest.raises(CanonicalError):
+        session.issue_credentials_paper(coupon, _dose(date=_utc_day(2)), PII)
+    assert registry.check(coupon.coupon_id).stage is Stage.UNUSED
+    session.issue_credentials_paper(coupon, _dose(date=_utc_day(1)), PII)
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
+
+
+SIGNER_RULES = {  # case -> (dose number, product, days from UTC today, refusal)
+    "dose1-dated-today": (1, "VX-ALPHA", 0, None),
+    "dose1-dated-in-two-days": (1, "VX-ALPHA", 2, "canonical"),
+    "dose2-dated-today": (2, "VX-ALPHA", 0, None),
+    "dose2-dated-in-two-days": (2, "VX-ALPHA", 2, "canonical"),
+    "dose2-of-another-product": (2, "VX-BETA", 0, "product-mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", list(SIGNER_RULES))
+def test_the_signer_states_the_course_rules(case, issuer, registry, coupon, session, rng):
+    """A counter that sends a signing frame may have checked nothing, so
+    the issuer itself refuses a course of two products and a dose dated
+    past its own clock. A refusal leaves the registry where it was."""
+    number, product, days, refusal = SIGNER_RULES[case]
+    dose = _dose(n=number, product=product, date=_utc_day(days))
+    if number == 1:
+        info = BadgeInfo(binding=Commitment(pii_commitment(PII, new_salt(rng))),
+                         coupon=coupon, dose_history=(dose,))
+        before = Stage.UNUSED
+    else:
+        badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
+        info = dataclasses.replace(badge.info, dose_history=badge.info.dose_history + (dose,))
+        before = Stage.DOSE1
+    reply = canonical.decode(handle_request_bytes(
+        BadgeIssuer(issuer, registry), encode_request(info, status_for(info, None))))
+    stage = registry.check(coupon.coupon_id).stage
+    if refusal is None:
+        assert reply["ok"] is True and stage is not before
+    else:
+        assert reply == {"error": refusal, "ok": False} and stage is before
+
+
+BADGE_SHAPES = {  # case -> (dose numbers, their days in February 2021, the rule refusing)
+    "no-doses": ((), (), "at least one dose"),
+    # the numbering rule refuses three doses too; the message pins this check
+    "three-doses": ((1, 2, 2), (1, 2, 3), "at most two doses"),
+    "numbered-2": ((2,), (1,), "sequential"),
+    "numbered-1-1": ((1, 1), (1, 2), "sequential"),
+    "dated-before-the-first": ((1, 2), (10, 5), "dated before the first"),
+}
+
+
+@pytest.mark.parametrize("case", list(BADGE_SHAPES))
+def test_badge_info_states_the_shape_of_a_course(case, issuer, registry, coupon, rng):
+    """BadgeInfo alone refuses these histories, so a decoder and the signer
+    refuse them alike: built directly, decoded from bytes, or sent to the
+    issuer as a signing frame, which moves no registry entry."""
+    numbers, days, rule = BADGE_SHAPES[case]
+    doses = tuple(_dose(n=n, date=f"2021-02-{d:02d}") for n, d in zip(numbers, days))
+    binding = Commitment(pii_commitment(PII, new_salt(rng)))
+    with pytest.raises(CanonicalError, match=rule):
+        BadgeInfo(dose_history=doses, coupon=coupon, binding=binding)
+    one = BadgeInfo(dose_history=(_dose(),), coupon=coupon, binding=binding)
+    badge_bytes = canonical.encode({**canonical.decode(one.to_bytes()),
+                                    "doses": [d.to_wire() for d in doses]})
+    with pytest.raises(CanonicalError, match=rule):
+        BadgeInfo.from_wire(canonical.decode(badge_bytes))
+    status_bytes = status_for(one).to_bytes()
+    _, digest = signing_request(badge_bytes, status_bytes)
+    frame = canonical.encode({"badge": canonical.Encoded(badge_bytes), "req": digest,
+                              "status": canonical.Encoded(status_bytes)})
+    reply = canonical.decode(handle_request_bytes(BadgeIssuer(issuer, registry), frame))
+    assert reply == {"error": "canonical", "ok": False}
+    assert registry.check(coupon.coupon_id).stage is Stage.UNUSED
 
 
 @pytest.mark.parametrize("case", [
