@@ -17,7 +17,9 @@ import datetime as _dt
 import json
 import os
 import random
+import signal
 import sys
+import threading
 
 from . import canonical, durable, qr
 from .config import ENV_KEYSTORE, ENV_PASSPHRASE, ENV_REGISTRY, load_config
@@ -184,14 +186,15 @@ def cmd_issuer_serve(args) -> int:
     with Registry(_registry_path(args)) as registry:
         issuer = BadgeIssuer(handle, registry)
         server = serve(issuer, args.host, port)
-        print(f"signing service on {args.host}:{server.port}", flush=True)
+        # SIGTERM, a service manager's stop, stops it as Ctrl-C does
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
-            import threading
-
+            print(f"signing service on {args.host}:{server.port}", flush=True)
             threading.Event().wait()
         except KeyboardInterrupt:
             pass
         finally:
+            signal.signal(signal.SIGTERM, previous)
             server.shutdown()
             server.server_close()
     return 0
@@ -499,7 +502,7 @@ def cmd_health_split(args) -> int:
 
 def cmd_health_aggregate(args) -> int:
     with open(args.shares, "rb") as fh:
-        rows = list(durable.json_lines(fh.read()))
+        rows = list(durable.json_lines(fh))
     if not rows:
         print(json.dumps({"n": 0, "totals": []}))
         return 0

@@ -5,14 +5,15 @@ swaps a whole file in by rename; ``create`` does so only if none exists.
 After a crash a replaced or created file is the old one or the new one,
 and a journal holds every acknowledged record plus at most a torn last
 line, which the next handle to lock it cuts. Each rename, and each new
-journal, is followed by an fsync of its directory.
+journal, is followed by an fsync of its directory. A journal is read
+``CHUNK`` bytes at a time, so reading one costs memory in proportion to
+its longest line, not to the file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
-import io
 import json
 import os
 import tempfile
@@ -24,14 +25,47 @@ def dump_lines(records) -> bytes:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
 
 
-def json_lines(data: bytes):
-    """The value on each non-blank line of ``data``, parsed as iterated."""
-    for number, line in enumerate(io.BytesIO(data), 1):
-        if line.strip():
-            try:
-                yield json.loads(line)
-            except (ValueError, RecursionError):  # nesting too deep for the parser
-                raise CanonicalError(f"corrupt JSON line {number}") from None
+CHUNK = 1 << 16  # bytes per read of a journal
+
+
+def json_lines(lines):
+    """The value on each non-blank line of ``lines``, an iterable of byte
+    lines such as a binary file, parsed as iterated. ``line`` is rebound at
+    each step, so a long line is held at most twice at once rather than as
+    bytes, text and value together."""
+    number = 0
+    for line in lines:
+        number += 1
+        if not line.strip():
+            continue
+        try:
+            line = line.decode(json.detect_encoding(line), "surrogatepass")
+            line = json.loads(line)
+        except (ValueError, RecursionError):  # nesting too deep for the parser
+            raise CanonicalError(f"corrupt JSON line {number}") from None
+        yield line
+        del line  # let the value go before the next line is read
+
+
+def _lines(fd: int, start: int, end: int):
+    """The lines of ``fd`` from ``start`` to ``end``, which ends one, without
+    their newlines, read ``CHUNK`` bytes at a time. A line longer than a
+    chunk is joined once, and each is let go of once yielded."""
+    begun = []  # the pieces of a line that began in an earlier chunk
+    while start < end:
+        chunk = os.pread(fd, min(CHUNK, end - start), start)
+        if not chunk:
+            raise CanonicalError("journal ended before the record it was read to")
+        start += len(chunk)
+        lines = chunk.split(b"\n")
+        if len(lines) > 1 and begun:
+            begun.append(lines[0])
+            lines[0] = b"".join(begun)
+            begun.clear()
+        begun.append(lines.pop())  # the start of a line this chunk does not end
+        lines.reverse()
+        while lines:
+            yield lines.pop()
 
 
 def _write(fh, data: bytes) -> None:
@@ -75,6 +109,18 @@ def create(path, data: bytes) -> None:
         os.link(tmp, path)
 
 
+def _whole_lines_end(fd: int, start: int, end: int) -> int:
+    """Where the last whole line between ``start`` and ``end`` ends (``start``
+    if none does), read backwards from ``end`` a chunk at a time."""
+    while end > start:
+        at = max(start, end - CHUNK)
+        newline = os.pread(fd, end - at, at).rfind(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        end = at
+    return start
+
+
 class Journal:
     """A JSON-lines file shared across processes; use it only inside ``locked()``."""
 
@@ -94,22 +140,25 @@ class Journal:
     def locked(self):
         """Hold the exclusive lock, yielding the records appended since this
         handle last looked, parsed as iterated: all of them at first, and
-        all again once the file was replaced. A torn last line is cut."""
+        all again once the file was replaced. A torn last line is cut.
+
+        The records are read from the file as iterated, and may be iterated
+        after the lock is let go: they end at the last whole line there was
+        under the lock, and no handle changes a journal's bytes before that
+        point, even when it replaces the file."""
         fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
         try:
             while not os.path.samestat(self._opened, st := os.stat(self.path)):
                 self._fh.close()  # replaced: lock the file now at the path
                 self._open()
                 fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-            data = b""
-            if st.st_size > self._offset:  # spares the dose path two syscalls
-                self._fh.seek(self._offset)
-                data = self._fh.read()
-            complete = data.rfind(b"\n") + 1
-            if complete < len(data):
-                os.ftruncate(self._fh.fileno(), self._offset + complete)
-            self._offset += complete
-            yield json_lines(data[:complete])
+            start = end = self._offset
+            if st.st_size > start:  # spares the dose path a read
+                end = _whole_lines_end(self._fh.fileno(), start, st.st_size)
+                if end < st.st_size:
+                    os.ftruncate(self._fh.fileno(), end)
+                self._offset = end
+            yield json_lines(_lines(self._fh.fileno(), start, end))
         finally:
             fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
 

@@ -278,7 +278,7 @@ def save_feed(feed: AlertFeed, path) -> None:
 
 def load_feed(path) -> AlertFeed:
     with open(path, "rb") as fh:
-        records = list(durable.json_lines(fh.read()))
+        records = list(durable.json_lines(fh))
     what = f"alert entry in {path}"
     rows = [canonical.fields(r, ("scope", "key", "message"), what, ("day",)) for r in records]
     entries = tuple(AlertEntry(scope, key, message) for scope, key, message, _ in rows)

@@ -19,6 +19,12 @@ Retries are recognized by request digest: a transition replayed with the
 digest already on file is a no-op success instead of a double-use error.
 Dismantling erases all state, atomically replaces the log with a single
 marker, and leaves the registry refusing further work.
+
+Each coupon is one ``bytes`` value, read by slicing: a stage byte (0
+unused, 1 dose 1, 2 dose 2), a byte of presence bits, then each digest
+present, 32 bytes apiece, in the order signature, dose-1 request, badge,
+dose-2 request, and last the UTF-8 date of the latest dose once there is
+one. An unused coupon is 34 bytes.
 """
 
 from __future__ import annotations
@@ -56,16 +62,47 @@ class CouponState:
         return self.stage is not Stage.UNUSED
 
 
-class _Entry:
-    """One coupon's signature digest (None from an old log), stage, latest
-    dose date, request digest per dose and dose-1 badge digest; kept small,
-    as a registry holds one per coupon issued."""
+_STAGES = tuple(Stage)  # by stage byte
+_SIG, _REQ1, _BADGE, _REQ2, _DATE = 1, 2, 4, 8, 16  # presence bits, in field order
+_DIGESTS = (_SIG, _REQ1, _BADGE, _REQ2)
+_AT = tuple(2 + 32 * bin(p).count("1") for p in range(16))  # past the digests in p
 
-    __slots__ = ("sig", "stage", "date", "req1", "req2", "badge")
 
-    def __init__(self, sig: Optional[bytes]):
-        self.sig, self.stage = sig, Stage.UNUSED
-        self.date = self.req1 = self.req2 = self.badge = None
+def _field(entry: Optional[bytes], bit: int) -> Optional[bytes]:
+    """The digest ``bit`` names in a packed entry; None if either is absent."""
+    if entry is None or not entry[1] & bit:
+        return None
+    at = _AT[entry[1] & (bit - 1)]
+    return entry[at:at + 32]
+
+
+def _date(entry: bytes) -> Optional[str]:
+    present = entry[1]
+    if not present & _DATE:
+        return None
+    return entry[_AT[present & 15]:].decode("utf-8", "surrogatepass")
+
+
+def _state(entry: bytes) -> CouponState:
+    return CouponState(_STAGES[entry[0]], _date(entry))
+
+
+def _pack(stage: int, digests, date: Optional[str]) -> bytes:
+    """An entry from its stage byte, its four digests in field order (None
+    where absent) and its date."""
+    present, parts = 0, []
+    for bit, digest in zip(_DIGESTS, digests):
+        if digest is not None:
+            if len(digest) != 32:
+                raise CanonicalError("registry digests are 32 bytes")
+            present |= bit
+            parts.append(digest)
+    if date is not None:
+        if not isinstance(date, str):
+            raise CanonicalError("dose date must be text")
+        present |= _DATE
+        parts.append(date.encode("utf-8", "surrogatepass"))
+    return bytes((stage, present)) + b"".join(parts)
 
 
 class Registry:
@@ -128,24 +165,25 @@ class Registry:
             if len(raw) % 64:
                 raise CanonicalError("registry record holds part of a coupon")
             for at in range(0, len(raw), 64):
-                self._entries.setdefault(raw[at:at + 32], _Entry(raw[at + 32:at + 64]))
+                # unused, with its signature digest
+                self._entries.setdefault(raw[at:at + 32], b"\0\1" + raw[at + 32:at + 64])
             return
         cid = bytes.fromhex(record["cid"])
         if op == "register":  # one coupon, from a log that predates batches
             sig = record.get("sig_digest")
-            self._entries.setdefault(cid, _Entry(bytes.fromhex(sig) if sig else None))
+            entry = _pack(0, (bytes.fromhex(sig) if sig else None,), None)
+            self._entries.setdefault(cid, entry)
             return
         if op in ("dose1", "dose2"):
             req = bytes.fromhex(record["req"]) if record.get("req") else None
             badge = bytes.fromhex(record["badge"]) if "badge" in record else None
-            if badge is not None and len(badge) != 32:
-                raise CanonicalError("badge digest must be 32 bytes")
-            entry = self._entries.setdefault(cid, _Entry(None))
-            entry.stage, entry.date = Stage(op), record.get("date")
+            entry = self._entries.get(cid)
+            sig, req1, badge1, req2 = (_field(entry, bit) for bit in _DIGESTS)
             if op == "dose1":
-                entry.req1, entry.badge = req, badge
+                req1, badge1 = req, badge
             elif req:
-                entry.req2 = req
+                req2 = req
+            self._entries[cid] = _pack(int(op[-1]), (sig, req1, badge1, req2), record.get("date"))
             return
         raise CanonicalError(f"unknown registry record op {op!r}")
 
@@ -155,7 +193,7 @@ class Registry:
         if self._dismantled:
             raise DismantledError("registry has been dismantled")
 
-    def _lookup(self, coupon_id: bytes) -> Optional[_Entry]:
+    def _lookup(self, coupon_id: bytes) -> Optional[bytes]:
         """The coupon's entry; only a miss takes the log's lock, to look again."""
         entry = self._entries.get(coupon_id)
         if entry is None and self._journal is not None:
@@ -169,7 +207,7 @@ class Registry:
             self._guard()
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
-            return CouponState(entry.stage, entry.date)
+            return _state(entry)
 
     def match(self, coupon_id: bytes, digest: bytes) -> Optional[CouponState]:
         """The state of the coupon registered with this id and signature
@@ -178,18 +216,20 @@ class Registry:
         back to a signature check that decides the error."""
         with self._lock:
             entry = self._lookup(coupon_id)
-            if entry is None or entry.sig is None or not hmac.compare_digest(entry.sig, digest):
+            sig = _field(entry, _SIG)
+            if sig is None or not hmac.compare_digest(sig, digest):
                 return None
-            return CouponState(entry.stage, entry.date)
+            return _state(entry)
 
     def match_badge(self, coupon_id: bytes, digest: bytes) -> Optional[CouponState]:
         """``match`` for the digest of the badge signed at the coupon's first
         dose; None also when its ``dose1`` record carries none."""
         with self._lock:
             entry = self._lookup(coupon_id)
-            if entry is None or not entry.badge or not hmac.compare_digest(entry.badge, digest):
+            badge = _field(entry, _BADGE)
+            if badge is None or not hmac.compare_digest(badge, digest):
                 return None
-            return CouponState(entry.stage, entry.date)
+            return _state(entry)
 
     def known(self, coupon_id: bytes) -> bool:
         with self._lock:
@@ -208,7 +248,7 @@ class Registry:
     def snapshot(self) -> dict:
         """Hex id -> (stage value, date), for state comparisons in tests."""
         with self._lock:
-            return {cid.hex(): (e.stage.value, e.date) for cid, e in self._entries.items()}
+            return {cid.hex(): (_STAGES[e[0]].value, _date(e)) for cid, e in self._entries.items()}
 
     # -- transitions -----------------------------------------------------
 
@@ -248,22 +288,23 @@ class Registry:
         if dose not in (1, 2):
             raise InvalidTransitionError(f"dose must be 1 or 2, got {dose}")
         req = bytes(request_digest) if request_digest else None
+        _pack(0, (req, badge_digest), date)  # refuses what no entry holds, before any write
         with self._lock, self._log_locked():
             self._guard()
             entry = self._entries.get(coupon_id)
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
-            stage = entry.stage
+            stage = entry[0]
             if dose == 1:
-                if stage is not Stage.UNUSED:
-                    if req is not None and entry.req1 == req:
+                if stage:
+                    if req is not None and _field(entry, _REQ1) == req:
                         return False
                     raise AlreadyUsedError(coupon_id.hex())
             else:
-                if stage is Stage.UNUSED:
+                if not stage:
                     raise InvalidTransitionError("second dose before first")
-                if stage is Stage.DOSE2:
-                    if req is not None and entry.req2 == req:
+                if stage == 2:
+                    if req is not None and _field(entry, _REQ2) == req:
                         return False
                     raise AlreadyUsedError(coupon_id.hex())
             record = {"cid": coupon_id.hex(), "op": f"dose{dose}", "date": date}

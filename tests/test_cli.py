@@ -6,6 +6,7 @@ import pathlib
 import random
 import re
 import shlex
+import signal
 import stat
 import subprocess
 import sys
@@ -260,6 +261,39 @@ def test_pharmacy_vaccinate_through_the_signing_service(capsys, env, monkeypatch
         coupon = decode_qr(batch[0], Coupon)
         assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
     assert len(closed) == 1
+
+
+def test_issuer_serve_as_deployed_stops_on_sigterm(capsys, env):
+    """`issuer serve` in its own process, as deployed: it prints the port
+    it was given, signs a dose sent with --service, and on SIGTERM, a
+    service manager's stop, shuts the server down, closes the registry
+    and exits 0, warning-free in development mode. The log holds the dose."""
+    batch = _issue_batch(capsys, env, n=1)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    server = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "vaxcred.cli",
+         "issuer", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        port = int(server.stdout.readline().rsplit(":", 1)[1])
+        code, out, err = run(
+            capsys, "pharmacy", "vaccinate", "--coupon", batch[0],
+            "--issuer-pub", "@" + str(env / "issuer.key.pub"),
+            "--variant", "paper", "--pii", "name=Ada Q", "--product", "VX-ALPHA",
+            "--lot", "L-1", "--site", "S-01", "--service", f"127.0.0.1:{port}",
+        )
+        assert code == 0, err
+        server.send_signal(signal.SIGTERM)
+        _, stderr = server.communicate(timeout=30)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    assert server.returncode == 0 and stderr == ""
+    with Registry(env / "registry.jsonl") as registry:
+        assert registry.check(decode_qr(batch[0], Coupon).coupon_id).stage is Stage.DOSE1
 
 
 def test_the_signing_service_finds_batches_issued_after_it_started(capsys, env):

@@ -12,12 +12,17 @@ left and checks it. Children run one after another.
 import ast
 import contextlib
 import hashlib
+import io
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxcred import durable
 from vaxcred.coupons import issue_coupon_batch
@@ -291,4 +296,101 @@ def test_a_line_nested_too_deep_for_the_parser_is_corrupt():
     """``json`` raises RecursionError, not ValueError, on deep nesting, and
     it escaped every reader of a JSON-lines file as an internal error."""
     with pytest.raises(CanonicalError):
-        list(durable.json_lines(b'{"a": 1}\n' + b"[" * 100_000 + b"\n"))
+        list(durable.json_lines([b'{"a": 1}\n', b"[" * 100_000 + b"\n"]))
+
+
+# -- reading a journal a chunk at a time -------------------------------------------
+
+CHUNK = durable.CHUNK
+
+
+def _line(n: int, length: int) -> bytes:
+    """A JSON line of exactly ``length`` bytes, its newline included."""
+    pad = length - 1 - len(json.dumps({"n": n, "pad": ""}))
+    return json.dumps({"n": n, "pad": "x" * pad}).encode() + b"\n"
+
+
+def _read_journal(path) -> list:
+    with contextlib.closing(durable.Journal(path)) as journal, journal.locked() as records:
+        return list(records)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_a_line_ending_at_a_chunk_boundary(tmp_path, shift):
+    """The first line ends a byte before, exactly at or a byte after the
+    end of the first chunk."""
+    data = _line(0, CHUNK + shift) + _line(1, 40) + _line(2, CHUNK)
+    (tmp_path / "j").write_bytes(data)
+    assert _read_journal(tmp_path / "j") == list(durable.json_lines(io.BytesIO(data)))
+    assert [r["n"] for r in _read_journal(tmp_path / "j")] == [0, 1, 2]
+
+
+def test_a_line_longer_than_two_chunks(tmp_path):
+    data = _line(0, 40) + _line(1, 2 * CHUNK + 99) + _line(2, 40)
+    (tmp_path / "j").write_bytes(data)
+    records = _read_journal(tmp_path / "j")
+    assert records == list(durable.json_lines(io.BytesIO(data)))
+    assert [r["n"] for r in records] == [0, 1, 2] and len(records[1]["pad"]) > 2 * CHUNK
+
+
+def test_a_torn_tail_longer_than_a_chunk_is_cut_and_not_replayed(tmp_path):
+    whole = _line(0, 40) + _line(1, CHUNK + 1)
+    (tmp_path / "j").write_bytes(whole + _line(2, 2 * CHUNK + 9)[:-2])
+    assert [r["n"] for r in _read_journal(tmp_path / "j")] == [0, 1]
+    assert (tmp_path / "j").read_bytes() == whole
+    with contextlib.closing(durable.Journal(tmp_path / "j")) as journal:
+        with journal.locked():
+            journal.append([{"n": 3}])
+    assert [r["n"] for r in _read_journal(tmp_path / "j")] == [0, 1, 3]
+
+
+def test_blank_lines_are_skipped_but_numbered(tmp_path):
+    """A corrupt line is named by its number among all the lines read,
+    blank ones included, however the chunks fall."""
+    data = b"\n" + _line(0, 40) + b"  \n\r\n" + _line(1, CHUNK + 3) + b"\n"
+    (tmp_path / "j").write_bytes(data)
+    assert [r["n"] for r in _read_journal(tmp_path / "j")] == [0, 1]
+    (tmp_path / "j").write_bytes(data + b"{corrupt\n")
+    with pytest.raises(CanonicalError, match="^corrupt JSON line 7$"):
+        _read_journal(tmp_path / "j")
+
+
+def test_a_corrupt_line_is_numbered_from_where_the_handle_last_read(tmp_path):
+    """The number counts the lines appended since the handle last looked,
+    as it did when the unread tail was read whole."""
+    path = tmp_path / "j"
+    path.write_bytes(b"".join(_line(n, 90) for n in range(2000)))  # about three chunks
+    journal = durable.Journal(path)
+    try:
+        with journal.locked() as records:
+            assert len(list(records)) == 2000
+        with open(path, "ab") as fh:
+            fh.write(b"".join(_line(n, 90) for n in range(2000, 2999)) + b"{corrupt\n")
+        with pytest.raises(CanonicalError, match="^corrupt JSON line 1000$"):
+            with journal.locked() as records:
+                list(records)
+    finally:
+        journal.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.lists(st.sampled_from([b"\n", b"a", b"bc", b"{}"]), max_size=40).map(b"".join),
+       chunk=st.integers(1, 9))
+def test_chunked_reads_split_as_a_whole_read_does(data, chunk):
+    """For any chunk size, the lines read a chunk at a time are those of
+    the whole range, and the last whole line ends at the last newline."""
+    with tempfile.TemporaryFile() as fh, _chunk_of(chunk):
+        fh.write(data)
+        fh.flush()
+        end = data.rfind(b"\n") + 1
+        assert durable._whole_lines_end(fh.fileno(), 0, len(data)) == end
+        assert list(durable._lines(fh.fileno(), 0, end)) == data[:end].split(b"\n")[:-1]
+
+
+@contextlib.contextmanager
+def _chunk_of(size):
+    real, durable.CHUNK = durable.CHUNK, size
+    try:
+        yield
+    finally:
+        durable.CHUNK = real

@@ -354,7 +354,7 @@ def _store(path, records) -> None:
 
 
 def _stored(path) -> list:
-    return list(durable.json_lines(path.read_bytes()))
+    return list(durable.json_lines(path.read_bytes().splitlines()))
 
 
 def test_upload_paths(issuer, registry, rng):

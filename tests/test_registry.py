@@ -10,9 +10,11 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
+from vaxcred import durable
 from vaxcred.errors import (
     AlreadyUsedError,
     CanonicalError,
@@ -217,6 +219,106 @@ def test_replay_runs_without_the_file_lock(tmp_path, monkeypatch):
         assert len(again) == 3
     assert free == [True]
     assert b"dead" not in path.read_bytes()
+
+
+@pytest.mark.parametrize("given", [{"badge_digest": b"short"}, {"request_digest": b"short"},
+                                   {"date": 20210105}], ids=["badge", "request", "date"])
+def test_a_dose_the_registry_cannot_hold_is_refused_before_its_write(tmp_path, given):
+    """A digest of another length than 32 bytes, or a date that is not
+    text, is refused before anything is written. A short badge digest was
+    once logged and then refused by the replay of its own record, so the
+    log no longer opened."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as reg:
+        reg.register(*_coupon(0))
+        before = path.read_bytes()
+        with pytest.raises(CanonicalError):
+            reg.mark_used(_cid(0), 1, **given)
+        assert reg.check(_cid(0)).stage is Stage.UNUSED
+    assert path.read_bytes() == before
+    with Registry(path) as again:
+        assert again.mark_used(_cid(0), 1, date="2021-01-05") is True
+
+
+def test_a_dismantle_between_the_lock_and_the_replay(tmp_path, monkeypatch):
+    """Opening replays after letting the lock go. A dismantle in that gap
+    replaces the file: the replay still reads the old bytes whole, and
+    the next transition sees the marker."""
+    path = tmp_path / "reg.log"
+    with Registry(path) as reg:
+        reg.register_many([_coupon(i) for i in range(3)])
+        reg.mark_used(_cid(0), 1, date="2021-01-05")
+    replay = Registry._replay
+
+    def racing(self, records):
+        monkeypatch.setattr(Registry, "_replay", replay)
+        with Registry(path) as other:
+            other.dismantle(administrative=True)
+        replay(self, records)
+
+    monkeypatch.setattr(Registry, "_replay", racing)
+    with Registry(path) as reg:
+        assert len(reg) == 3 and reg.check(_cid(0)) == CouponState(Stage.DOSE1, "2021-01-05")
+        with pytest.raises(DismantledError):
+            reg.mark_used(_cid(1), 1)
+        assert reg.dismantled and len(reg) == 0
+
+
+def _traced(build):
+    """What ``build()`` returns, with the bytes it left allocated and the
+    most it had allocated at once, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return built, held, peak
+
+
+def test_a_reopen_peaks_at_twice_the_longest_line_above_its_state(tmp_path):
+    """The log is read a chunk at a time, so reopening it costs, above the
+    state it builds, at most 256 KiB plus twice its longest line (here a
+    batch's record), however large the file."""
+    batches = [[_coupon(i) for i in range(b, b + 5000)] for b in (0, 5000)]
+    records = [{"coupons": b"".join(c + d for c, d in batch).hex(), "op": "register",
+                "seq": seq} for seq, batch in enumerate(batches, 1)]
+    records += [{"badge": _digest(f"badge-{i}").hex(), "cid": _cid(i).hex(), "date": "2021-01-05",
+                 "op": "dose1", "req": _digest(f"req-{i}").hex(), "seq": i + 3}
+                for i in range(6000)]
+    data = durable.dump_lines(records)
+    path = tmp_path / "reg.log"
+    path.write_bytes(data)
+    assert len(data) > 2_000_000
+    reg, held, peak = _traced(lambda: Registry(path))
+    reg.close()
+    assert len(reg) == 10_000 and reg.check(_cid(5999)).stage is Stage.DOSE1
+    assert peak - held <= 256 * 1024 + 2 * max(map(len, data.splitlines()))
+
+
+def test_a_coupon_is_held_in_at_most_200_bytes_and_300_once_dosed(tmp_path):
+    """Each coupon is one packed value: 34 bytes registered, 108 after a
+    first dose with its request digest, badge digest and date."""
+    n = 20_000
+    coupons = [_coupon(i) for i in range(n)]
+    reg, registered, _ = _traced(lambda: _registered(coupons))
+    assert len(reg) == n and registered / n <= 200
+    records = [{"coupons": b"".join(c + d for c, d in coupons).hex(), "op": "register", "seq": 1}]
+    records += [{"badge": sig.hex(), "cid": cid.hex(), "date": "2021-01-05", "op": "dose1",
+                 "req": _digest(f"request-{i}").hex(), "seq": i + 2}
+                for i, (cid, sig) in enumerate(coupons)]
+    path = tmp_path / "reg.log"
+    path.write_bytes(durable.dump_lines(records))
+    reg, dosed, _ = _traced(lambda: Registry(path))
+    reg.close()
+    assert reg.match_badge(*coupons[-1]) == CouponState(Stage.DOSE1, "2021-01-05")
+    assert dosed / n <= 300
+
+
+def _registered(coupons) -> Registry:
+    reg = Registry()
+    reg.register_many(coupons)
+    return reg
 
 
 def test_register_many_writes_once(tmp_path, monkeypatch):
