@@ -80,8 +80,7 @@ def upload_report(registry, report: SymptomReport) -> Optional[dict]:
     """The record to store for ``report``, or None when it is refused.
     Anonymous reports are accepted outright, and their records carry no
     coupon field at all; coupon-bound ones only when the registry holds that
-    exact coupon (so an entry replayed from a log with no signature digests
-    binds none) and it has been redeemed."""
+    exact coupon, id and signature digest, and it has been redeemed."""
     record = {"timestamp": report.timestamp, "vector": list(report.vector.counts)}
     if report.coupon is not None:
         state = registry.match(report.coupon.coupon_id, report.coupon.sig_digest)

@@ -9,22 +9,22 @@ lock, after applying what the others appended, so one still wins.
 
 A coupon is registered with a digest of its signature; signing is
 deterministic, so a coupon matching id and digest is the one the issuer
-signed. A batch is one ``register`` record, so a crash registers all of
-it or none. Older logs hold one record per coupon; the oldest carry no
-digest, and their entries match nothing. A dose record holds ``cid``,
-``date``, ``op``, ``req`` and ``seq``; ``dose1`` also holds ``badge``, the
-digest of the badge signed, which a second dose matches (older ones lack it).
+signed. A batch is one ``register`` record, ``coupons``, so a crash
+registers all of it or none. A dose record holds ``cid``, ``date``,
+``op``, ``req`` and ``seq``; ``dose1`` also holds ``badge``, the digest of
+the badge signed, which a second dose matches. A log holding any other
+record, or a dose out of stage order, is refused whole when opened.
 
 Retries are recognized by request digest: a transition replayed with the
 digest already on file is a no-op success instead of a double-use error.
 Dismantling erases all state, atomically replaces the log with a single
 marker, and leaves the registry refusing further work.
 
-Each coupon is one ``bytes`` value, read by slicing: a stage byte (0
-unused, 1 dose 1, 2 dose 2), a byte of presence bits, then each digest
-present, 32 bytes apiece, in the order signature, dose-1 request, badge,
-dose-2 request, and last the UTF-8 date of the latest dose once there is
-one. An unused coupon is 34 bytes.
+Each coupon is one ``bytes`` value, read by slicing at fixed offsets: a
+stage byte (0 unused, 1 dose 1, 2 dose 2), the signature digest, then
+from dose 1 the dose-1 request and badge digests, from dose 2 the dose-2
+request digest, 32 bytes apiece, and last the UTF-8 date of the latest
+dose. The stage says which fields are there. An unused coupon is 33 bytes.
 """
 
 from __future__ import annotations
@@ -63,46 +63,27 @@ class CouponState:
 
 
 _STAGES = tuple(Stage)  # by stage byte
-_SIG, _REQ1, _BADGE, _REQ2, _DATE = 1, 2, 4, 8, 16  # presence bits, in field order
-_DIGESTS = (_SIG, _REQ1, _BADGE, _REQ2)
-_AT = tuple(2 + 32 * bin(p).count("1") for p in range(16))  # past the digests in p
-
-
-def _field(entry: Optional[bytes], bit: int) -> Optional[bytes]:
-    """The digest ``bit`` names in a packed entry; None if either is absent."""
-    if entry is None or not entry[1] & bit:
-        return None
-    at = _AT[entry[1] & (bit - 1)]
-    return entry[at:at + 32]
+_SIG = slice(1, 33)
+_REQ = (None, slice(33, 65), slice(97, 129))  # request digest, by dose
+_BADGE = slice(65, 97)
+_DATE = (33, 97, 129)  # where the digests end and the date starts, by stage byte
 
 
 def _date(entry: bytes) -> Optional[str]:
-    present = entry[1]
-    if not present & _DATE:
-        return None
-    return entry[_AT[present & 15]:].decode("utf-8", "surrogatepass")
+    stage = entry[0]
+    return entry[_DATE[stage]:].decode("utf-8", "surrogatepass") if stage else None
 
 
 def _state(entry: bytes) -> CouponState:
     return CouponState(_STAGES[entry[0]], _date(entry))
 
 
-def _pack(stage: int, digests, date: Optional[str]) -> bytes:
-    """An entry from its stage byte, its four digests in field order (None
-    where absent) and its date."""
-    present, parts = 0, []
-    for bit, digest in zip(_DIGESTS, digests):
-        if digest is not None:
-            if len(digest) != 32:
-                raise CanonicalError("registry digests are 32 bytes")
-            present |= bit
-            parts.append(digest)
-    if date is not None:
-        if not isinstance(date, str):
-            raise CanonicalError("dose date must be text")
-        present |= _DATE
-        parts.append(date.encode("utf-8", "surrogatepass"))
-    return bytes((stage, present)) + b"".join(parts)
+def _digest(text) -> bytes:
+    """A 32-byte digest from its hex in a log record."""
+    digest = bytes.fromhex(text)
+    if len(digest) != 32:
+        raise CanonicalError("registry digests are 32 bytes")
+    return digest
 
 
 class Registry:
@@ -160,32 +141,25 @@ class Registry:
             self._entries.clear()
             self._dismantled = True
             return
-        if op == "register" and "coupons" in record:
+        if op == "register":
             raw = bytes.fromhex(record["coupons"])  # id || signature digest, per coupon
             if len(raw) % 64:
                 raise CanonicalError("registry record holds part of a coupon")
             for at in range(0, len(raw), 64):
-                # unused, with its signature digest
-                self._entries.setdefault(raw[at:at + 32], b"\0\1" + raw[at + 32:at + 64])
+                self._entries.setdefault(raw[at:at + 32], b"\0" + raw[at + 32:at + 64])  # unused
             return
-        cid = bytes.fromhex(record["cid"])
-        if op == "register":  # one coupon, from a log that predates batches
-            sig = record.get("sig_digest")
-            entry = _pack(0, (bytes.fromhex(sig) if sig else None,), None)
-            self._entries.setdefault(cid, entry)
-            return
-        if op in ("dose1", "dose2"):
-            req = bytes.fromhex(record["req"]) if record.get("req") else None
-            badge = bytes.fromhex(record["badge"]) if "badge" in record else None
-            entry = self._entries.get(cid)
-            sig, req1, badge1, req2 = (_field(entry, bit) for bit in _DIGESTS)
-            if op == "dose1":
-                req1, badge1 = req, badge
-            elif req:
-                req2 = req
-            self._entries[cid] = _pack(int(op[-1]), (sig, req1, badge1, req2), record.get("date"))
-            return
-        raise CanonicalError(f"unknown registry record op {op!r}")
+        if op not in ("dose1", "dose2"):
+            raise CanonicalError(f"unknown registry record op {op!r}")
+        cid, date, stage = bytes.fromhex(record["cid"]), record["date"], int(op[-1])
+        entry = self._entries.get(cid)
+        if entry is None or entry[0] != stage - 1:
+            raise CanonicalError(f"registry record {op} for a coupon not at the stage before")
+        if not isinstance(date, str):
+            raise CanonicalError("dose date must be text")
+        digests = entry[1:_DATE[stage - 1]] + _digest(record["req"])
+        if stage == 1:
+            digests += _digest(record["badge"])
+        self._entries[cid] = bytes((stage,)) + digests + date.encode("utf-8", "surrogatepass")
 
     # -- queries ---------------------------------------------------------
 
@@ -211,31 +185,23 @@ class Registry:
 
     def match(self, coupon_id: bytes, digest: bytes) -> Optional[CouponState]:
         """The state of the coupon registered with this id and signature
-        digest; None for any other, for an entry without a digest, and on a
-        dismantled registry (which holds no entries), so a caller can fall
-        back to a signature check that decides the error."""
-        with self._lock:
-            entry = self._lookup(coupon_id)
-            sig = _field(entry, _SIG)
-            if sig is None or not hmac.compare_digest(sig, digest):
-                return None
-            return _state(entry)
+        digest; None for any other, and on a dismantled registry (which
+        holds no entries), so a caller can fall back to a signature check
+        that decides the error."""
+        return self._match(coupon_id, _SIG, digest)
 
     def match_badge(self, coupon_id: bytes, digest: bytes) -> Optional[CouponState]:
         """``match`` for the digest of the badge signed at the coupon's first
-        dose; None also when its ``dose1`` record carries none."""
+        dose; None also before that dose."""
+        return self._match(coupon_id, _BADGE, digest)
+
+    def _match(self, coupon_id: bytes, field: slice, digest: bytes) -> Optional[CouponState]:
         with self._lock:
             entry = self._lookup(coupon_id)
-            badge = _field(entry, _BADGE)
-            if badge is None or not hmac.compare_digest(badge, digest):
+            held = entry[field] if entry is not None else b""
+            if len(held) != 32 or not hmac.compare_digest(held, digest):
                 return None
             return _state(entry)
-
-    def known(self, coupon_id: bytes) -> bool:
-        with self._lock:
-            entry = self._lookup(coupon_id)
-            self._guard()
-            return entry is not None
 
     def __len__(self) -> int:
         with self._lock:
@@ -251,9 +217,6 @@ class Registry:
             return {cid.hex(): (_STAGES[e[0]].value, _date(e)) for cid, e in self._entries.items()}
 
     # -- transitions -----------------------------------------------------
-
-    def register(self, coupon_id: bytes, sig_digest: bytes) -> None:
-        self.register_many([(coupon_id, sig_digest)])
 
     def register_many(self, coupons) -> None:
         """Register (coupon id, signature digest) pairs as unused, in one
@@ -274,43 +237,33 @@ class Registry:
             self._commit([{"coupons": b"".join(c + d for c, d in coupons).hex(),
                            "op": "register"}])
 
-    def mark_used(
-        self,
-        coupon_id: bytes,
-        dose: int,
-        date: Optional[str] = None,
-        request_digest: Optional[bytes] = None,
-        badge_digest: Optional[bytes] = None,
-    ) -> bool:
-        """Atomically advance one dose, recording ``badge_digest`` on a first.
-        Returns True if the state moved, False for a recognized retry (same
-        request digest already applied)."""
+    def mark_used(self, coupon_id: bytes, dose: int, date: str, request_digest: bytes,
+                  badge_digest: bytes) -> bool:
+        """Atomically advance one dose, logging ``badge_digest`` on a first
+        (a second's is checked, not logged). Returns True if the state
+        moved, False for a recognized retry (the dose's request digest is
+        the one on file)."""
         if dose not in (1, 2):
             raise InvalidTransitionError(f"dose must be 1 or 2, got {dose}")
-        req = bytes(request_digest) if request_digest else None
-        _pack(0, (req, badge_digest), date)  # refuses what no entry holds, before any write
+        if not isinstance(date, str):
+            raise CanonicalError("dose date must be text")
+        for digest in (request_digest, badge_digest):  # before any write
+            if not isinstance(digest, bytes) or len(digest) != 32:
+                raise CanonicalError("registry digests are 32 bytes")
         with self._lock, self._log_locked():
             self._guard()
             entry = self._entries.get(coupon_id)
             if entry is None:
                 raise UnknownCouponError(coupon_id.hex())
-            stage = entry[0]
+            if entry[0] < dose - 1:
+                raise InvalidTransitionError("second dose before first")
+            if entry[0] >= dose:
+                if entry[_REQ[dose]] == request_digest:
+                    return False
+                raise AlreadyUsedError(coupon_id.hex())
+            record = {"cid": coupon_id.hex(), "date": date, "op": f"dose{dose}",
+                      "req": request_digest.hex()}
             if dose == 1:
-                if stage:
-                    if req is not None and _field(entry, _REQ1) == req:
-                        return False
-                    raise AlreadyUsedError(coupon_id.hex())
-            else:
-                if not stage:
-                    raise InvalidTransitionError("second dose before first")
-                if stage == 2:
-                    if req is not None and _field(entry, _REQ2) == req:
-                        return False
-                    raise AlreadyUsedError(coupon_id.hex())
-            record = {"cid": coupon_id.hex(), "op": f"dose{dose}", "date": date}
-            if req is not None:
-                record["req"] = req.hex()
-            if dose == 1 and badge_digest is not None:
                 record["badge"] = badge_digest.hex()
             self._commit([record])
             return True

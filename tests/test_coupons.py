@@ -62,7 +62,7 @@ def test_issue_batch_signs_and_registers(issuer, issuer_key, registry):
     assert [c.payload.index for c in coupons] == list(range(5))
     for c in coupons:
         assert verify_coupon(issuer_key, c)
-        assert registry.known(c.coupon_id)
+        assert not registry.check(c.coupon_id).is_used
     assert len(registry) == 5
 
 
@@ -98,14 +98,13 @@ def test_reissued_batch_is_refused(issuer, tmp_path):
     path = tmp_path / "registry.log"
     with Registry(path) as registry:
         first = issue_coupon_batch(issuer, 3, "02139", "healthcare", registry=registry)
-        registry.mark_used(first[0].coupon_id, 1)
+        registry.mark_used(first[0].coupon_id, 1, "2021-02-01", bytes(32), bytes(32))
         logged = path.read_bytes()
         with pytest.raises(InvalidTransitionError):
             issue_coupon_batch(issuer, 2, "02139", "healthcare", registry=registry,
                                start_index=2)
         assert path.read_bytes() == logged
-        assert not registry.known(issue_coupon_batch(issuer, 1, "02139", "healthcare",
-                                                     start_index=3)[0].coupon_id)
+        assert len(registry) == 3
         assert registry.check(first[0].coupon_id).stage is Stage.DOSE1
 
 

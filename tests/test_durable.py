@@ -140,6 +140,11 @@ def _coupons(n):
              hashlib.sha256(f"signature-{i}".encode()).digest()) for i in range(n)]
 
 
+def _dose1(reg, cid: bytes, req: bytes) -> bool:
+    """``mark_used`` for a first dose of ``cid`` under request digest ``req``."""
+    return reg.mark_used(cid, 1, "2021-02-01", req, b"\x0b" * 32)
+
+
 def _registry_with(where, n=2, torn=False):
     with Registry(where / "reg.log") as reg:
         reg.register_many(_coupons(n))
@@ -159,9 +164,9 @@ def test_crash_during_a_dose(tmp_path):
             assert stage is Stage.DOSE1 or (stage is Stage.UNUSED and not acked)
             if stage is Stage.DOSE1:
                 with pytest.raises(AlreadyUsedError):
-                    reg.mark_used(cid, 1, request_digest=b"\x02" * 32)
+                    _dose1(reg, cid, b"\x02" * 32)
             else:
-                assert reg.mark_used(cid, 1, request_digest=b"\x02" * 32)
+                assert _dose1(reg, cid, b"\x02" * 32)
         lines = (where / "reg.log").read_bytes().splitlines()
         assert sum(b'"dose1"' in line for line in lines) == 1
 
@@ -170,8 +175,8 @@ def test_crash_during_a_dose(tmp_path):
         "from vaxcred.registry import Registry\n"
         "import hashlib\n"
         "with Registry('reg.log') as reg:\n"
-        "    reg.mark_used(hashlib.sha256(b'coupon-0').digest(), 1,"
-        " request_digest=b'\\x01' * 32)",
+        "    reg.mark_used(hashlib.sha256(b'coupon-0').digest(), 1, '2021-02-01',"
+        " b'\\x01' * 32, b'\\x0b' * 32)",
         check,
     )
     assert steps == 4  # cut the torn tail, write, fsync, done
@@ -184,7 +189,7 @@ def test_crash_during_a_batch(tmp_path):
 
     def check(where, acked):
         with Registry(where / "reg.log") as reg:
-            known = [reg.known(cid) for cid in fresh]
+            known = [cid.hex() in reg.snapshot() for cid in fresh]
             assert all(known) or (not any(known) and not acked)
             assert len(reg) == 2 + sum(known)
 
@@ -211,7 +216,7 @@ def test_crash_during_dismantle(tmp_path):
                 assert not acked and reg.check(cid).stage is Stage.UNUSED and len(reg) == 2
                 return
             with pytest.raises(DismantledError):
-                reg.mark_used(cid, 1)
+                _dose1(reg, cid, b"\x02" * 32)
         assert cid.hex().encode() not in (where / "reg.log").read_bytes()
         with Registry(where / "reg.log") as again:
             assert again.dismantled
