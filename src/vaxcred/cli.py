@@ -118,6 +118,19 @@ def _today(args) -> str:
     return getattr(args, "date", None) or _dt.date.today().isoformat()
 
 
+def _shown(text: str) -> str:
+    """Outside text as it is printed: backslash and every character that
+    ``str.isprintable`` refuses escaped, so one value is one line and can
+    move no cursor. That is every control or format character (Unicode Cc
+    and Cf: newline, ESC, bidi marks), and also line and paragraph
+    separators, spaces other than ASCII's, and unassigned code points."""
+    return "".join(
+        char.encode("unicode_escape").decode("ascii")
+        if char == "\\" or not char.isprintable() else char
+        for char in text
+    )
+
+
 def _dose_from_args(args, dose_number: int) -> DoseInfo:
     return DoseInfo(
         product=args.product,
@@ -354,7 +367,7 @@ def cmd_user_show(args) -> int:
         print(f"coupon: {qr.encode_qr(wallet.coupon)}")
     if wallet.badge is not None:
         doses = ", ".join(
-            f"#{d.dose_number} {d.product} {d.date}"
+            f"#{d.dose_number} {_shown(d.product)} {_shown(d.date)}"
             for d in wallet.badge.info.dose_history
         )
         print(f"doses: {doses}")
@@ -425,14 +438,14 @@ def cmd_venue_verify(args) -> int:
     )
     result = verify_presentation(_load_pub(args.issuer_pub), presentation, required)
     if isinstance(result, Reject):
-        print(f"reject: {result.reason}")
+        print(f"reject: {_shown(result.reason)}")
         return 2
     if int(result.level) < args.required_level:
         print(f"reject: level {int(result.level)} below required {args.required_level}")
         return 2
     print(f"accept: level {int(result.level)}")
     for label, value in result.disclosed:
-        print(f"  {label}: {value}")
+        print(f"  {_shown(label)}: {_shown(value)}")
     return 0
 
 
@@ -555,7 +568,7 @@ def cmd_health_match(args) -> int:
         print("no alerts match")
         return 0
     for e in result.matched:
-        print(f"{e.scope}:{e.key}: {e.message}")
+        print(f"{_shown(e.scope)}:{_shown(e.key)}: {_shown(e.message)}")
     return 0
 
 

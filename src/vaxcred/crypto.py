@@ -4,9 +4,12 @@ Secret material lives behind :class:`KeyHandle` and is never returned by
 any operation; the only persistence path is a passphrase-encrypted blob.
 One 256-bit hash (SHA-256) is used everywhere, separated by one-byte
 domain tags so digests from different contexts can never be spliced.
-This is the only module that calls ``cryptography``: one AEAD
-(ChaCha20-Poly1305) and one agreement (ephemeral X25519, then
-HKDF-SHA256), which maps every failure to AuthFailureError.
+This is the only module that calls ``cryptography``, the one library
+for signatures, agreement (ephemeral X25519, then HKDF-SHA256, which
+maps every failure to AuthFailureError), AEAD (ChaCha20-Poly1305),
+SHA-256, scrypt and comparison (:func:`digests_equal`). No module imports
+``hashlib``, ``hmac`` or ``secrets``: they would map the system's
+libcrypto into the process beside the OpenSSL ``cryptography`` carries.
 
 Every Ed25519 verify passes through :func:`verify`, which remembers the
 triples it has verified: a repeat showing of the same signed bytes under
@@ -21,10 +24,11 @@ digests (about 0.4 MB), in memory only: it is never logged or written.
 
 from __future__ import annotations
 
-import hashlib
-import secrets
+import os
+import random
 import struct
 import threading
+from _operator import _compare_digest
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -37,8 +41,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.hashes import SHA256, Hash
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from . import canonical
 from .errors import AuthFailureError, CanonicalError, VaxError
@@ -65,20 +70,43 @@ _PKENC_INFO = b"vaxcred/pkenc/v1"
 _SEAL_INFO = b"vaxcred/keyblob/v1"
 
 
+def _primed(prefix: bytes) -> Hash:
+    context = Hash(SHA256())
+    context.update(prefix)
+    return context
+
+
+# SHA-256 contexts that have taken in nothing, or one domain tag; each
+# call hashes in a copy, so these are only ever read
+_EMPTY = _primed(b"")
+_TAGGED = {tag: _primed(tag) for tag in (
+    TAG_LEAF, TAG_NODE, TAG_PII, TAG_PASSKEY, TAG_COUPON_SIG, TAG_BADGE_SIG, TAG_VERIFIED)}
+
+
 def sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    context = _EMPTY.copy()
+    context.update(data)
+    return context.finalize()
 
 
-def tagged_hash(tag: bytes, data: bytes) -> bytes:
-    """256-bit digest of data under a one-byte domain tag."""
-    if len(tag) != 1:
-        raise VaxError("domain tag must be one byte")
-    return hashlib.sha256(tag + data).digest()
+def tagged_hash(tag: bytes, *parts: bytes) -> bytes:
+    """SHA-256 of tag || parts[0] || parts[1] ..., under one of the domain
+    tags. One update of the joined parts costs less than one per part."""
+    primed = _TAGGED.get(tag)
+    if primed is None:
+        raise VaxError(f"not a domain tag: {tag!r}")
+    context = primed.copy()
+    context.update(b"".join(parts))
+    return context.finalize()
 
+
+# True when two digests are equal, in time that does not depend on where
+# they differ; the C routine behind hmac.compare_digest
+digests_equal = _compare_digest
 
 # the OS generator: its randbytes is os.urandom, and getrandbits and
 # randrange draw from os.urandom too
-_SYSTEM_RANDOM = secrets.SystemRandom()
+_SYSTEM_RANDOM = random.SystemRandom()
 
 
 def randomness(rng=None):
@@ -97,7 +125,7 @@ def salted_hash(value: bytes, salt: bytes) -> bytes:
     """PII commitment: H(0x02 || len(value) || value || salt)."""
     if len(salt) != SALT_LEN:
         raise VaxError(f"salt must be {SALT_LEN} bytes")
-    return tagged_hash(TAG_PII, struct.pack(">I", len(value)) + value + salt)
+    return tagged_hash(TAG_PII, struct.pack(">I", len(value)), value, salt)
 
 
 @dataclass(frozen=True)
@@ -207,8 +235,8 @@ def seal_with_passphrase(plaintext: bytes, passphrase: str, aad: bytes) -> bytes
     """version byte || scrypt salt || nonce || ChaCha20-Poly1305(plaintext),
     under a key derived from the passphrase. ``aad`` names what the blob
     holds, so a blob of one kind never opens as another."""
-    kdf_salt = secrets.token_bytes(SALT_LEN)
-    nonce = secrets.token_bytes(_NONCE_LEN)
+    kdf_salt = os.urandom(SALT_LEN)
+    nonce = os.urandom(_NONCE_LEN)
     body = aead_seal(_passphrase_key(passphrase, kdf_salt), nonce, plaintext, aad)
     return _SEALED_VERSION + kdf_salt + nonce + body
 
@@ -227,9 +255,8 @@ def open_with_passphrase(blob: bytes, passphrase: str, aad: bytes) -> bytes:
 
 
 def _passphrase_key(passphrase: str, kdf_salt: bytes) -> bytes:
-    return hashlib.scrypt(
-        passphrase.encode("utf-8"), salt=kdf_salt, n=2**14, r=8, p=1, dklen=32
-    )
+    return Scrypt(salt=kdf_salt, length=32, n=2**14, r=8, p=1).derive(
+        passphrase.encode("utf-8"))
 
 
 def generate_keypair(rng=None) -> tuple[KeyHandle, VerifyingKey]:
@@ -265,7 +292,7 @@ def verify(vk: VerifyingKey, msg: bytes, sig: bytes) -> bool:
         return False
     try:
         public = vk.sig_bytes
-        digest = tagged_hash(TAG_VERIFIED, public + sig + msg)
+        digest = tagged_hash(TAG_VERIFIED, public, sig, msg)
         if digest in _verified:
             return True
         Ed25519PublicKey.from_public_bytes(public).verify(sig, msg)

@@ -34,7 +34,7 @@ def leaf_digest(label: str, value: str, salt: bytes) -> bytes:
 
 
 def node_digest(left: bytes, right: bytes) -> bytes:
-    return tagged_hash(TAG_NODE, left + right)
+    return tagged_hash(TAG_NODE, left, right)
 
 
 def _is_text(value) -> bool:

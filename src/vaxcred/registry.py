@@ -10,7 +10,8 @@ lock, after applying what the others appended, so one still wins.
 A coupon is registered with a digest of its signature; signing is
 deterministic, so a coupon matching id and digest is the one the issuer
 signed. A batch is one ``register`` record, ``coupons``, so a crash
-registers all of it or none. A dose record holds ``cid``, ``date``,
+registers all of it or none; a record naming a coupon twice, or one
+already registered, is refused whole. A dose record holds ``cid``, ``date``,
 ``op``, ``req`` and ``seq``; ``dose1`` also holds ``badge``, the digest of
 the badge signed, which a second dose matches. A log holding any other
 record, or a dose out of stage order, is refused whole when opened.
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import hmac
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from .crypto import digests_equal
 from .durable import Journal
 from .errors import (
     AlreadyUsedError,
@@ -145,8 +146,11 @@ class Registry:
             raw = bytes.fromhex(record["coupons"])  # id || signature digest, per coupon
             if len(raw) % 64:
                 raise CanonicalError("registry record holds part of a coupon")
-            for at in range(0, len(raw), 64):
-                self._entries.setdefault(raw[at:at + 32], b"\0" + raw[at + 32:at + 64])  # unused
+            batch = {raw[at:at + 32]: b"\0" + raw[at + 32:at + 64]  # unused
+                     for at in range(0, len(raw), 64)}
+            if len(batch) != len(raw) // 64 or not self._entries.keys().isdisjoint(batch):
+                raise CanonicalError("registry record registers a coupon twice")
+            self._entries.update(batch)
             return
         if op not in ("dose1", "dose2"):
             raise CanonicalError(f"unknown registry record op {op!r}")
@@ -199,7 +203,7 @@ class Registry:
         with self._lock:
             entry = self._lookup(coupon_id)
             held = entry[field] if entry is not None else b""
-            if len(held) != 32 or not hmac.compare_digest(held, digest):
+            if len(held) != 32 or not digests_equal(held, digest):
                 return None
             return _state(entry)
 

@@ -78,7 +78,7 @@ def _genuine_state(vk_issuer: VerifyingKey, registry: Registry, coupon) -> Optio
 def badge_digest(signature: bytes, info_bytes: bytes) -> bytes:
     """What the registry records of a badge signed at dose 1. The signature
     is always 64 bytes, so signature then info splits one way only."""
-    return tagged_hash(TAG_BADGE_SIG, signature + info_bytes)
+    return tagged_hash(TAG_BADGE_SIG, signature, info_bytes)
 
 
 def check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None:

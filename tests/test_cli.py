@@ -10,6 +10,7 @@ import signal
 import stat
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
@@ -359,13 +360,14 @@ def test_wallet_lifecycle_and_disclosure(capsys, env):
     assert code == 2 and "auth-failure" in err
 
 
-def test_app_wallet_selective_disclosure(capsys, env):
+def _app_wallet(capsys, env, pii, product="VX-ALPHA"):
+    """An app wallet holding ``pii`` and the credentials of a first dose
+    of ``product``."""
     batch = _issue_batch(capsys, env, n=1)
     wallet = env / "app.sealed"
     code, out, _ = run(
         capsys, "user", "init", "--wallet", str(wallet), "--variant", "app",
-        "--pii", "name=Bea R", "--pii", "dob=1980-05-05", "--pii", "zip=02139",
-        "--coupon", batch[0],
+        *(arg for pair in pii for arg in ("--pii", pair)), "--coupon", batch[0],
     )
     assert code == 0
     holder_key = next(l for l in out.splitlines() if l.startswith("holder key:"))
@@ -377,14 +379,18 @@ def test_app_wallet_selective_disclosure(capsys, env):
         "--variant", "app",
         "--pii-root", root.split(": ")[1],
         "--user-pub", holder_key.split(": ")[1],
-        "--product", "VX-ALPHA", "--lot", "L-2", "--site", "S-03",
+        "--product", product, "--lot", "L-2", "--site", "S-03",
         "--date", "2021-03-02",
     )
     assert code == 0, err
     bdg, sts = out.splitlines()[:2]
     assert run(capsys, "user", "store", "--wallet", str(wallet),
                "--badge", bdg, "--status", sts)[0] == 0
+    return wallet
 
+
+def test_app_wallet_selective_disclosure(capsys, env):
+    wallet = _app_wallet(capsys, env, ["name=Bea R", "dob=1980-05-05", "zip=02139"])
     code, out, _ = run(capsys, "user", "disclose", "--wallet", str(wallet),
                        "--labels", "dob")
     assert code == 0
@@ -409,6 +415,54 @@ def test_app_wallet_selective_disclosure(capsys, env):
         "--require-labels", "dob,name",
     )
     assert code == 2 and out.startswith("reject:")
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("Ada Q, 1970-01-01 (VX-ALPHA)", "Ada Q, 1970-01-01 (VX-ALPHA)"),
+    ("Bea\n  note: forged line\x1b[31m", r"Bea\n  note: forged line\x1b[31m"),
+    ("a\\b\tc\r", r"a\\b\tc\r"),
+    ("left\u202eright\u200b", r"left\u202eright\u200b"),  # bidi override, zero width
+    ("one\u2028two\u00a0three", r"one\u2028two\xa0three"),  # line separator, no-break space
+    ("Zoë 東京", "Zoë 東京"),
+])
+def test_outside_text_is_shown_escaped(text, shown):
+    assert cli._shown(text) == shown
+
+
+def test_every_control_and_format_character_is_escaped():
+    hidden = [chr(c) for c in range(0x110000)
+              if unicodedata.category(chr(c)) in ("Cc", "Cf")]
+    assert len(hidden) > 150
+    for char in hidden:
+        shown = cli._shown(char)
+        assert shown.startswith("\\") and shown.isascii() and shown.isprintable(), repr(char)
+
+
+def test_outside_text_prints_as_one_escaped_line(capsys, env):
+    """Text the holder or a feed chose reaches the terminal escaped: a
+    newline cannot forge a line and ESC cannot move the cursor (CWE-150).
+    The signed values still verify, so each command exits 0."""
+    forged = "Bea\n  note: forged line\x1b[31m"
+    wallet = _app_wallet(capsys, env, [f"name={forged}"], product="VX-ALPHA\x1b[2J")
+    code, out, _ = run(capsys, "user", "show", "--wallet", str(wallet))
+    assert code == 0 and "\x1b" not in out
+    assert r"doses: #1 VX-ALPHA\x1b[2J 2021-03-02" in out.splitlines()
+
+    code, out, _ = run(capsys, "user", "disclose", "--wallet", str(wallet),
+                       "--labels", "name")
+    sts_line, proof_line = out.splitlines()[:2]
+    code, out, _ = run(
+        capsys, "venue", "verify", "--issuer-pub", "@" + str(env / "issuer.key.pub"),
+        "--status", sts_line, "--proof", proof_line, "--require-labels", "name",
+    )
+    assert code == 0 and "\x1b" not in out
+    assert out.splitlines() == ["accept: level 1", r"  name: Bea\n  note: forged line\x1b[31m"]
+
+    feed = env / "alerts.jsonl"
+    assert run(capsys, "health", "feed", "--out", str(feed), "--date", "2021-04-02",
+               "--entry", "lot:L-1:storage\x1b[31m excursion\nall clear")[0] == 0
+    code, out, _ = run(capsys, "health", "match", "--feed", str(feed), "--lot", "L-1")
+    assert code == 0 and out == "lot:L-1: storage\\x1b[31m excursion\\nall clear\n"
 
 
 def test_second_dose_and_due(capsys, env):

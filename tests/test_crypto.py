@@ -7,6 +7,7 @@ the library's own helpers cannot hide itself.
 import hashlib
 import random
 import struct
+import sys
 import threading
 
 import pytest
@@ -275,6 +276,59 @@ def test_tagged_hash_domain_separation():
     assert len(digests) == 4
     assert tagged_hash(TAG_LEAF, data) == hashlib.sha256(b"\x00" + data).digest()
     assert tagged_hash(TAG_NODE, data) == hashlib.sha256(b"\x01" + data).digest()
+
+
+TAGS = [bytes([tag]) for tag in range(7)]  # the seven domain tags, 0x00 to 0x06
+
+
+@given(st.sampled_from(TAGS), st.lists(st.binary(max_size=80), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_tagged_hash_matches_hashlib(tag, parts):
+    """Each call hashes in a copy of the tag's primed context: the parts
+    land after the tag, in order, and no call sees another's input."""
+    assert tagged_hash(tag, *parts) == hashlib.sha256(tag + b"".join(parts)).digest()
+    assert crypto.sha256(b"".join(parts)) == hashlib.sha256(b"".join(parts)).digest()
+
+
+def test_tagged_hash_refuses_a_tag_it_does_not_know():
+    for tag in (b"\x07", b"", b"\x00\x00", "\x00"):
+        with pytest.raises(VaxError):
+            tagged_hash(tag, b"payload")
+
+
+def test_threads_share_the_primed_contexts():
+    """Eight threads copy the same primed contexts at once; each digest is
+    still the oracle's."""
+    jobs = [(TAGS[i % 7], [bytes([i % 251]) * (i % 97), i.to_bytes(4, "big")])
+            for i in range(2000)]
+    expected = [hashlib.sha256(tag + b"".join(parts)).digest() for tag, parts in jobs]
+    results = [None] * 8
+    barrier = threading.Barrier(8)
+
+    def work(k):
+        barrier.wait(timeout=10)
+        results[k] = [tagged_hash(tag, *parts) for tag, parts in jobs]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+
+
+@given(st.binary(max_size=40), st.binary(max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_digests_equal_is_equality(a, b):
+    assert crypto.digests_equal(a, b) == (a == b)
+    assert crypto.digests_equal(a, a)
+    assert not crypto.digests_equal(a, a + b"\x00")  # unequal lengths
 
 
 def test_new_salt_length_and_freshness(rng):

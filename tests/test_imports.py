@@ -1,9 +1,10 @@
 """Each module imports on its own, in a fresh interpreter, so that no
 import cycle hides behind the order in which another module loads them;
 only ``crypto`` imports the ``cryptography`` package, and within it only
-``crypto.verify`` calls an Ed25519 verify; ``service`` imports neither
-``socketserver`` nor ``asyncio``; no module but ``canonical`` checks a
-map's key set by hand."""
+``crypto.verify`` calls an Ed25519 verify; no module imports ``hashlib``,
+``hmac`` or ``secrets``, and running vaxcred loads none of them;
+``service`` imports neither ``socketserver`` nor ``asyncio``; no module
+but ``canonical`` checks a map's key set by hand."""
 
 import ast
 import os
@@ -50,6 +51,25 @@ def _source(module):
 def test_only_crypto_imports_cryptography():
     importers = [name for name in MODULES if _imports(_source(name), "cryptography")]
     assert importers == ["crypto"]
+
+
+@pytest.mark.parametrize("package", ["hashlib", "hmac", "secrets"])
+def test_no_module_imports_a_second_openssl(package):
+    """``hashlib`` and ``hmac`` load the system's libcrypto, a second
+    OpenSSL beside the one ``cryptography`` carries (``secrets`` imports
+    both): about 4 MB of resident memory in every process."""
+    assert [name for name in MODULES if _imports(_source(name), package)] == []
+
+
+def test_running_vaxcred_loads_one_openssl():
+    """Imports, a scenario, a sealed key and a signing round trip, in a
+    fresh interpreter, load none of ``hashlib``, ``hmac`` or ``secrets``,
+    which a stdlib module imported on the way could load unseen by the
+    source scan above."""
+    done = subprocess.run([sys.executable, str(pathlib.Path(__file__).parent / "one_openssl.py")],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _sites(tree, match) -> list:

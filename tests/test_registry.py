@@ -592,6 +592,10 @@ def test_each_current_dose_record_replays(tmp_path):
     {"cid": _cid(3).hex(), "date": None, "op": "register", "sig_digest": _coupon(3)[1].hex(),
      "seq": 5},
     {"cid": _cid(3).hex(), "date": None, "op": "register", "seq": 5},
+    # a batch naming a coupon already registered, or one coupon twice
+    {"coupons": (b"".join(_coupon(1)) + b"".join(_coupon(3))).hex(), "op": "register",
+     "seq": 5},
+    {"coupons": (b"".join(_coupon(3)) * 2).hex(), "op": "register", "seq": 5},
     _dose_line(0, 1, drop=("req",)),
     _dose_line(1, 2, drop=("req",)),
     _dose_line(0, 1, drop=("date",)),
@@ -607,7 +611,8 @@ def test_each_current_dose_record_replays(tmp_path):
     _dose_line(2, 1),
 ], ids=["no-cid", "non-hex-cid", "non-integer-seq", "not-an-object", "partial-pair",
         "non-text-req", "short-badge", "non-hex-badge", "non-text-badge", "null-badge",
-        "per-coupon-register", "per-coupon-register-without-digest", "dose1-without-req",
+        "per-coupon-register", "per-coupon-register-without-digest",
+        "register-a-known-coupon", "register-one-coupon-twice", "dose1-without-req",
         "dose2-without-req", "dose1-without-date", "dose2-without-date", "null-date",
         "dose1-without-badge", "dose1-unregistered", "dose2-unregistered",
         "dose2-before-dose1", "dose1-again", "dose2-again", "dose1-after-dose2"])
