@@ -7,14 +7,26 @@ canonical UTF-8) so that a decode/re-encode round trip is bit-exact and
 every byte of an encoding is load-bearing. The varints keep printable
 artifacts small enough for QR codes and short links.
 
-Supported values: int (unsigned 64-bit), bool, bytes, str, list, dict with
-str keys, and ``Encoded`` bytes that are already canonical. None is not
-encodable; optional fields are simply omitted. Decoded maps remember the
-exact bytes they came from (``DecodedMap.raw``, a view). Every reader of a
-map from outside, decoded or JSON, checks its key set with ``fields``.
+Supported values: int (unsigned 64-bit), bool, bytes, str, list and dict
+with str keys. None is not encodable; optional fields are simply omitted.
+
+Each wire type declares its map once, as a ``Table`` of ``Field``s beside
+the type: the key, the kind of value (an unsigned int, bytes of any or a
+fixed length, text, a bool, a nested table, a list or tuple of kinds, or
+a signed body) and whether the field is optional. One reader
+and one writer work from the table. The reader walks the input once: it
+matches each expected key as its encoded bytes, in table order, reads the
+value in place under the same strictness as ``decode``, keeps a signed
+body's exact input bytes, and builds the object once. It accepts exactly
+the encodings ``decode`` accepts whose value has the table's shape. The
+writer joins the encoded keys and values. ``encode`` and ``decode`` stay
+as the generic reference; JSON maps read from files are checked with
+``fields``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import CanonicalError
 
@@ -27,26 +39,6 @@ _TAG_MAP = 0x06
 
 _U64_MAX = 2**64 - 1
 _MAX_DEPTH = 32
-
-
-class Encoded:
-    """A value already in canonical form: ``encode`` copies its bytes
-    verbatim. Signed bodies travel inside larger encodings this way, as
-    the exact bytes that were signed, without being encoded again."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes):
-        self.data = data
-
-
-class DecodedMap(dict):
-    """A map returned by ``decode``. ``raw`` is a view of the exact input
-    bytes it was decoded from, so a signed body is checked over the bytes
-    that arrived rather than a re-encoding of them. Only a body that is
-    kept copies its view."""
-
-    __slots__ = ("raw",)
 
 
 def _head(tag: int, size: int) -> bytes:
@@ -98,7 +90,7 @@ def encode(value) -> bytes:
 
 
 # bool before int: bool is an int subclass
-_KINDS = (bool, int, bytes, str, Encoded, list, tuple, dict)
+_KINDS = (bool, int, bytes, str, list, tuple, dict)
 _EXACT = frozenset(_KINDS)
 
 
@@ -122,8 +114,6 @@ def _encode_into(out: bytearray, value) -> None:
     elif kind is bytes:
         out += _head(_TAG_BYTES, len(value))
         out += value
-    elif kind is Encoded:
-        out += value.data
     elif kind is bool:
         out.append(_TAG_BOOL)
         out.append(1 if value else 0)
@@ -151,18 +141,238 @@ def _encode_into(out: bytearray, value) -> None:
             _encode_into(out, item)
 
 
+# -- declared tables --------------------------------------------------------
+
+_UINT, _BYTES, _TEXT, _BOOL, _LIST, _TUPLE, _MAP, _SIGNED = range(8)
+_TAG_OF = (_TAG_UINT, _TAG_BYTES, _TAG_TEXT, _TAG_BOOL, _TAG_LIST, _TAG_LIST, _TAG_MAP, _TAG_MAP)
+
+
+class Kind:
+    """What a field holds: an unsigned 64-bit int, bytes (of length
+    ``size`` when it is set), text, a bool, a list of ``inner`` items, a
+    tuple of the kinds in ``inner``, or a signed body of table ``inner``,
+    whose bytes the reader keeps. ``enum`` turns a scalar into its member
+    on reading, and back by ``.value`` on writing. ``take`` reads one
+    and ``put`` writes one."""
+
+    __slots__ = ("code", "tag", "size", "inner", "enum", "take", "put")
+
+    def __init__(self, code: int, size=None, inner=None, enum=None):
+        self.code, self.tag = code, bytes((_TAG_OF[code],))
+        self.size, self.inner, self.enum = size, inner, enum
+        self.take, self.put = _taker(self), _putter(self)
+
+    def write(self, value) -> bytes:
+        out = []
+        self.put(value, out)
+        return b"".join(out)
+
+
+def _taker(kind: Kind):
+    """The reader of a value of ``kind``: (data, pos) -> (value, end), with
+    ``pos`` just past the value's type tag."""
+    code, size, inner, enum = kind.code, kind.size, kind.inner, kind.enum
+    if code == _UINT:
+        take = _take_varint
+    elif code == _BOOL:
+        def take(data, pos):
+            flag = data[pos:pos + 1]
+            if flag != b"\x00" and flag != b"\x01":
+                raise CanonicalError("non-canonical bool byte")
+            return flag == b"\x01", pos + 1
+    elif code == _BYTES or code == _TEXT:
+        def take(data, pos):
+            length, pos = _take_varint(data, pos)
+            stop = pos + length
+            if stop > len(data):
+                raise CanonicalError("truncated payload")
+            if code == _TEXT:
+                return _text(data[pos:stop]), stop
+            if size is not None and length != size:
+                raise CanonicalError(f"bytes of length {length}, not {size}")
+            return data[pos:stop], stop
+    elif code == _SIGNED:
+        def take(data, pos):
+            body, end = inner.take(data, pos)
+            return body._keep(data[pos - 1:end]), end
+    else:  # a list of one kind, or a tuple of kinds
+        def take(data, pos):
+            count, pos = _take_varint(data, pos)
+            if code == _TUPLE and count != len(inner):
+                raise CanonicalError(f"expected a list of {len(inner)}")
+            items = []
+            for item in inner if code == _TUPLE else (inner,) * count:
+                if not data.startswith(item.tag, pos):
+                    raise CanonicalError("list item of the wrong type")
+                value, pos = item.take(data, pos + 1)
+                items.append(value)
+            return tuple(items), pos
+    if enum is None:
+        return take
+
+    def member(data, pos):
+        value, pos = take(data, pos)
+        try:
+            return enum(value), pos
+        except ValueError:
+            raise CanonicalError(f"unknown {enum.__name__} {value!r}") from None
+    return member
+
+
+def _putter(kind: Kind):
+    """The writer of a value of ``kind``: (value, out) appends its
+    encoding to the list ``out``."""
+    code, size, inner, enum = kind.code, kind.size, kind.inner, kind.enum
+    if code == _UINT:
+        def put(value, out):
+            if not 0 <= value <= _U64_MAX:
+                raise CanonicalError(f"integer out of unsigned 64-bit range: {value}")
+            out.append(_head(_TAG_UINT, value))
+    elif code == _BOOL:
+        def put(value, out):
+            out.append(b"\x04\x01" if value else b"\x04\x00")
+    elif code == _BYTES or code == _TEXT:
+        def put(value, out):
+            if code == _TEXT:
+                value = _utf8(value)
+            elif size is not None and len(value) != size:
+                raise CanonicalError(f"bytes of length {len(value)}, not {size}")
+            out += (_head(kind.tag[0], len(value)), value)
+    elif code == _SIGNED:  # a body, or bytes it was written to
+        def put(value, out):
+            out.append(value if type(value) is bytes else value.to_bytes())
+    else:  # a list of one kind, or a tuple of kinds
+        def put(value, out):
+            if code == _TUPLE and len(value) != len(inner):
+                raise CanonicalError(f"expected a tuple of {len(inner)}")
+            out.append(_head(_TAG_LIST, len(value)))
+            for item, part in zip(inner if code == _TUPLE else (inner,) * len(value), value):
+                item.put(part, out)
+    if enum is None:
+        return put
+    return lambda value, out: put(value.value, out)
+
+
+UINT = Kind(_UINT)
+BYTES = Kind(_BYTES)
+TEXT = Kind(_TEXT)
+BOOL = Kind(_BOOL)
+
+
+def fixed(size: int) -> Kind:
+    return Kind(_BYTES, size)
+
+
+def enum_of(kind: Kind, enum) -> Kind:
+    return Kind(kind.code, enum=enum)
+
+
+def list_of(inner) -> Kind:
+    return Kind(_LIST, inner=inner)
+
+
+def tuple_of(*inner) -> Kind:
+    return Kind(_TUPLE, inner=inner)
+
+
+def signed(table: "Table") -> Kind:
+    return Kind(_SIGNED, inner=table)
+
+
+class Field(NamedTuple):
+    key: str
+    kind: object  # a Kind, or a Table for a nested map
+    attr: str = ""  # the object's attribute, when it is not the key
+    optional: bool = False
+
+
+class Table:
+    """One wire type's map. Declared in a class body, it builds that class
+    from the values by attribute name (None for an absent optional field),
+    and the writer reads the same attributes. Elsewhere it builds with
+    ``build``, or, without one, is a frame, read as and written from the
+    tuple of its values."""
+
+    code, tag = _MAP, bytes((_TAG_MAP,))
+
+    def __init__(self, what: str, *fields: Field, build=None):
+        keys = [f.key.encode("utf-8") for f in fields]
+        if keys != sorted(set(keys)):
+            raise ValueError(f"{what}: fields must be declared in key byte order")
+        self.what, self.fields, self.build = what, fields, build
+        # a key's encoding, then with its value's type tag, which the reader matches
+        heads = [_head(_TAG_TEXT, len(k)) + k for k in keys]
+        self.rows = tuple((head, head + f.kind.tag, len(head) + 1, f.kind, f.attr or f.key,
+                           f.optional) for head, f in zip(heads, fields))
+
+    def __set_name__(self, owner, name):
+        self.build = owner
+
+    def read(self, data) -> object:
+        """The object ``data`` encodes whole. CanonicalError unless it is
+        a canonical encoding of a map with this table's shape."""
+        if not isinstance(data, (bytes, bytearray)):
+            raise CanonicalError("decode expects bytes")
+        data = bytes(data)
+        if not data.startswith(self.tag):
+            raise CanonicalError(f"malformed {self.what}")
+        obj, end = self.take(data, 1)
+        if end != len(data):
+            raise CanonicalError(f"trailing bytes after value ({len(data) - end})")
+        return obj
+
+    def take(self, data: bytes, pos: int):
+        """(object, end) for the map whose entry count is at ``pos``. A key
+        present with a value of the wrong type is no match: its entry is
+        left unread, which refuses the map."""
+        count, pos = _take_varint(data, pos)
+        values = {}
+        for _, head, size, kind, attr, optional in self.rows:
+            if count and data.startswith(head, pos):
+                count -= 1
+                values[attr], pos = kind.take(data, pos + size)
+            elif optional:
+                values[attr] = None
+            else:
+                raise CanonicalError(f"malformed {self.what}")
+        if count:
+            raise CanonicalError(f"malformed {self.what}")
+        if self.build is None:
+            return tuple(values.values()), pos
+        return self.build(**values), pos
+
+    write = Kind.write
+
+    def put(self, obj, out: list) -> None:
+        at, count = len(out), 0
+        out.append(b"")  # the map's head, once its entries are counted
+        values = obj if self.build is None else [getattr(obj, row[4], None) for row in self.rows]
+        for (key, _, _, kind, attr, optional), value in zip(self.rows, values, strict=True):
+            if value is None:
+                if not optional:
+                    raise CanonicalError(f"{self.what} needs {attr}")
+                continue
+            count += 1
+            out.append(key)
+            kind.put(value, out)
+        out[at] = _head(_TAG_MAP, count)
+
+
 class Wire:
-    """Mixin for objects with ``to_wire``/``from_wire``: their canonical
-    bytes, and the strict parse of those bytes."""
+    """Base of a type that declares its map as ``TABLE``: its canonical
+    bytes, their strict reading, and the map ``encode`` writes alike."""
 
     __slots__ = ()
 
     def to_bytes(self) -> bytes:
-        return encode(self.to_wire())
+        return self.TABLE.write(self)
+
+    def to_wire(self) -> dict:
+        return decode(self.to_bytes())
 
     @classmethod
-    def from_bytes(cls, data: bytes):
-        return cls.from_wire(decode(data))
+    def from_bytes(cls, data):
+        return cls.TABLE.read(data)
 
 
 def fields(obj, keys: tuple, what: str, optional: tuple = ()) -> list:
@@ -183,14 +393,6 @@ def fields(obj, keys: tuple, what: str, optional: tuple = ()) -> list:
             if len(obj) == size:
                 return values
     raise CanonicalError(f"malformed {what}")
-
-
-def tuples(items) -> tuple:
-    """A decoded list of lists as a tuple of tuples, the shape that frozen
-    objects hold; their constructors check the items."""
-    if not isinstance(items, list) or not all(isinstance(item, list) for item in items):
-        raise CanonicalError("expected a list of lists")
-    return tuple(tuple(item) for item in items)
 
 
 def decode(data: bytes):
@@ -214,12 +416,8 @@ def _decode_at(data: bytes, offset: int, depth: int):
     tag = data[offset]
     offset += 1
     if tag == _TAG_TEXT or tag == _TAG_BYTES:
-        if offset < end and data[offset] < 0x80:
-            stop = offset + 1 + data[offset]
-            offset += 1
-        else:
-            size, offset = _take_varint(data, offset)
-            stop = offset + size
+        size, offset = _take_varint(data, offset)
+        stop = offset + size
         if stop > end:
             raise CanonicalError("truncated payload")
         if tag == _TAG_BYTES:
@@ -228,19 +426,14 @@ def _decode_at(data: bytes, offset: int, depth: int):
     if tag == _TAG_UINT:
         return _take_varint(data, offset)
     if tag == _TAG_MAP:
-        start = offset - 1
         count, offset = _take_varint(data, offset)
-        result = DecodedMap()
+        result = {}
         prev_key: bytes | None = None
         for _ in range(count):
-            if offset + 1 < end and data[offset] == _TAG_TEXT and data[offset + 1] < 0x80:
-                stop = offset + 2 + data[offset + 1]
-                offset += 2
-            else:
-                if offset >= end or data[offset] != _TAG_TEXT:
-                    raise CanonicalError("map key must be text")
-                size, offset = _take_varint(data, offset + 1)
-                stop = offset + size
+            if offset >= end or data[offset] != _TAG_TEXT:
+                raise CanonicalError("map key must be text")
+            size, offset = _take_varint(data, offset + 1)
+            stop = offset + size
             if stop > end:
                 raise CanonicalError("truncated payload")
             key_bytes = data[offset:stop]
@@ -249,7 +442,6 @@ def _decode_at(data: bytes, offset: int, depth: int):
             prev_key = key_bytes
             value, offset = _decode_at(data, stop, depth + 1)
             result[_text(key_bytes)] = value
-        result.raw = memoryview(data)[start:offset]
         return result, offset
     if tag == _TAG_LIST:
         count, offset = _take_varint(data, offset)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import canonical
+from .canonical import Field
 from .crypto import (
     TAG_COUPON_SIG,
     KeyHandle,
@@ -42,6 +43,13 @@ class CouponPayload(SignedBody):
     zip_code: str
     job_type: str
 
+    TABLE = canonical.Table(
+        "coupon payload",
+        Field("index", canonical.UINT),
+        Field("job", canonical.TEXT, "job_type"),
+        Field("zip", canonical.TEXT, "zip_code"),
+    )
+
     def __post_init__(self):
         if not isinstance(self.index, int) or isinstance(self.index, bool):
             raise CanonicalError("coupon index must be an integer")
@@ -51,14 +59,6 @@ class CouponPayload(SignedBody):
             raise InvalidZipError(f"bad zip code {self.zip_code!r}")
         if not isinstance(self.job_type, str) or not self.job_type:
             raise InvalidJobTypeError("job type must be non-empty text")
-
-    def to_wire(self) -> dict:
-        return {"index": self.index, "job": self.job_type, "zip": self.zip_code}
-
-    @classmethod
-    def from_wire(cls, obj) -> "CouponPayload":
-        index, job, zip_code = canonical.fields(obj, ("index", "job", "zip"), "coupon payload")
-        return cls(index=index, zip_code=zip_code, job_type=job)
 
 
 @dataclass(frozen=True)  # not slotted: the ids are cached in the instance dict

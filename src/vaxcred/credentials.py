@@ -17,16 +17,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
+from .canonical import Field
 from .coupons import Coupon
 from .crypto import (
     DIGEST_LEN,
     SALT_LEN,
-    TAG_PASSKEY,
     SignedBody,
     SignedEnvelope,
     VerifyingKey,
     salted_hash,
-    tagged_hash,
 )
 from .errors import CanonicalError, DuplicateLabelError, EmptyRequestError, MismatchError
 
@@ -49,14 +48,13 @@ def pii_pairs(entries) -> tuple:
     return pairs
 
 
-def canonical_pii(entries) -> bytes:
-    """Deterministic byte encoding of (label, value) pairs, sorted by label."""
-    return canonical.encode([[l, v] for l, v in pii_pairs(entries)])
+# identity fields on the wire: (label, value) text pairs, sorted by label
+PII = canonical.list_of(canonical.tuple_of(canonical.TEXT, canonical.TEXT))
 
 
 def pii_commitment(entries, salt: bytes) -> bytes:
     """Salted commitment over the canonical identity encoding."""
-    return salted_hash(canonical_pii(entries), salt)
+    return salted_hash(PII.write(pii_pairs(entries)), salt)
 
 
 # -- bindings -------------------------------------------------------------
@@ -108,46 +106,48 @@ class AppBinding:
             raise CanonicalError("bad binding root")
 
 
-_DIGEST_BINDINGS = {
-    "commitment": Commitment,
-    "tree-root": TreeRoot,
-    "passkey-hash": PasskeyHash,
-}
+_DIGEST_BINDINGS = {cls.kind: cls for cls in (Commitment, TreeRoot, PasskeyHash)}
 
 
-def binding_to_wire(binding) -> dict:
-    if isinstance(binding, _DigestBinding):
-        return {"digest": binding.digest, "kind": binding.kind}
-    if isinstance(binding, AppBinding):
-        return {
-            "key": binding.user_key.to_wire(),
-            "kind": binding.kind,
-            "root": binding.pii_root,
-        }
-    raise CanonicalError(f"unknown binding type {type(binding).__name__}")
+def _binding(digest, user_key, kind, pii_root):
+    """The binding of ``kind``, from the fields that kind has and no other."""
+    if kind == "app" and digest is None and user_key is not None and pii_root is not None:
+        return AppBinding(user_key, pii_root)
+    if kind in _DIGEST_BINDINGS and digest is not None and user_key is None and pii_root is None:
+        return _DIGEST_BINDINGS[kind](digest)
+    raise CanonicalError(f"malformed binding of kind {kind!r}")
 
 
-def binding_from_wire(obj) -> object:
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "app":
-        key, _, root = canonical.fields(obj, ("key", "kind", "root"), "app binding")
-        return AppBinding(user_key=VerifyingKey.from_wire(key), pii_root=root)
-    if not isinstance(kind, str) or kind not in _DIGEST_BINDINGS:
-        raise CanonicalError(f"unknown binding kind {kind!r}")
-    digest, _ = canonical.fields(obj, ("digest", "kind"), "digest binding")
-    return _DIGEST_BINDINGS[kind](digest)
+# the four bindings, one union keyed by ``kind``
+BINDING = canonical.Table(
+    "binding",
+    Field("digest", canonical.fixed(DIGEST_LEN), optional=True),
+    Field("key", VerifyingKey.TABLE, "user_key", optional=True),
+    Field("kind", canonical.TEXT),
+    Field("root", canonical.fixed(DIGEST_LEN), "pii_root", optional=True),
+    build=_binding,
+)
 
 
 # -- dose records ----------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class DoseInfo:
+class DoseInfo(canonical.Wire):
     product: str
     lot: str
     date: str  # ISO YYYY-MM-DD
     dose_number: int
     site_id: str
+
+    TABLE = canonical.Table(
+        "dose record",
+        Field("date", canonical.TEXT),
+        Field("lot", canonical.TEXT),
+        Field("num", canonical.UINT, "dose_number"),
+        Field("product", canonical.TEXT),
+        Field("site", canonical.TEXT, "site_id"),
+    )
 
     def __post_init__(self):
         for name in ("product", "lot", "site_id"):
@@ -157,28 +157,6 @@ class DoseInfo:
         if type(self.dose_number) is not int or self.dose_number not in (1, 2):
             raise CanonicalError(f"dose_number must be 1 or 2, got {self.dose_number}")
         parse_date(self.date)
-
-    def to_wire(self) -> dict:
-        return {
-            "date": self.date,
-            "lot": self.lot,
-            "num": self.dose_number,
-            "product": self.product,
-            "site": self.site_id,
-        }
-
-    @classmethod
-    def from_wire(cls, obj) -> "DoseInfo":
-        date, lot, num, product, site = canonical.fields(
-            obj, ("date", "lot", "num", "product", "site"), "dose record"
-        )
-        return cls(
-            product=product,
-            lot=lot,
-            date=date,
-            dose_number=num,
-            site_id=site,
-        )
 
 
 def parse_date(text: str) -> _dt.date:
@@ -201,6 +179,13 @@ class BadgeInfo(SignedBody):
     dose_history: tuple  # of DoseInfo, in administration order
     coupon: Coupon
     binding: object  # Commitment | TreeRoot
+
+    TABLE = canonical.Table(
+        "badge info",
+        Field("binding", BINDING),
+        Field("coupon", Coupon.TABLE),
+        Field("doses", canonical.list_of(DoseInfo.TABLE), "dose_history"),
+    )
 
     def __post_init__(self):
         if not isinstance(self.dose_history, tuple) or not all(
@@ -227,24 +212,6 @@ class BadgeInfo(SignedBody):
     def level(self) -> VaccinationLevel:
         return VaccinationLevel(len(self.dose_history))
 
-    def to_wire(self) -> dict:
-        return {
-            "binding": binding_to_wire(self.binding),
-            "coupon": self.coupon.to_wire(),
-            "doses": [d.to_wire() for d in self.dose_history],
-        }
-
-    @classmethod
-    def from_wire(cls, obj) -> "BadgeInfo":
-        binding, coupon, doses = canonical.fields(obj, ("binding", "coupon", "doses"), "badge info")
-        if not isinstance(doses, list):
-            raise CanonicalError("malformed dose list")
-        return cls(
-            dose_history=tuple(DoseInfo.from_wire(d) for d in doses),
-            coupon=Coupon.from_wire(coupon),
-            binding=binding_from_wire(binding),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Badge(SignedEnvelope):
@@ -264,6 +231,13 @@ class StatusPayload(SignedBody):
     binding: object  # PasskeyHash | AppBinding
     date: Optional[str] = None  # date of the most recent dose, if any
 
+    TABLE = canonical.Table(
+        "status payload",
+        Field("binding", BINDING),
+        Field("date", canonical.TEXT, optional=True),
+        Field("level", canonical.enum_of(canonical.UINT, VaccinationLevel)),
+    )
+
     def __post_init__(self):
         if not isinstance(self.level, VaccinationLevel):
             raise CanonicalError("level must be a VaccinationLevel")
@@ -273,25 +247,6 @@ class StatusPayload(SignedBody):
             parse_date(self.date)
         if self.level is VaccinationLevel.NOT_VACCINATED and self.date is not None:
             raise CanonicalError("unvaccinated status cannot carry a dose date")
-
-    def to_wire(self) -> dict:
-        wire = {"binding": binding_to_wire(self.binding), "level": int(self.level)}
-        if self.date is not None:
-            wire["date"] = self.date
-        return wire
-
-    @classmethod
-    def from_wire(cls, obj) -> "StatusPayload":
-        binding, level, date = canonical.fields(
-            obj, ("binding", "level"), "status payload", ("date",)
-        )
-        if type(level) is not int or level not in (0, 1, 2):
-            raise CanonicalError(f"bad vaccination level {level!r}")
-        return cls(
-            level=VaccinationLevel(level),
-            binding=binding_from_wire(binding),
-            date=date,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,6 +281,12 @@ class Passkey(canonical.Wire):
     pii: tuple  # of (label, value), sorted by label
     salt: bytes
 
+    TABLE = canonical.Table(
+        "passkey",
+        Field("pii", PII),
+        Field("salt", canonical.fixed(SALT_LEN)),
+    )
+
     def __post_init__(self):
         if not isinstance(self.salt, bytes) or len(self.salt) != SALT_LEN:
             raise CanonicalError("bad passkey salt")
@@ -339,16 +300,4 @@ class Passkey(canonical.Wire):
             raise CanonicalError("passkey fields must be sorted by label")
 
     def commitment(self) -> bytes:
-        return pii_commitment(self.pii, self.salt)
-
-    def fingerprint(self) -> bytes:
-        """Stable identifier for audit transcripts (not shown to venues)."""
-        return tagged_hash(TAG_PASSKEY, self.to_bytes())
-
-    def to_wire(self) -> dict:
-        return {"pii": [[l, v] for l, v in self.pii], "salt": self.salt}
-
-    @classmethod
-    def from_wire(cls, obj) -> "Passkey":
-        pii, salt = canonical.fields(obj, ("pii", "salt"), "passkey")
-        return cls(pii=canonical.tuples(pii), salt=salt)
+        return salted_hash(PII.write(self.pii), self.salt)  # pii is sorted: see above

@@ -46,6 +46,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from . import canonical
+from .canonical import Field
 from .errors import AuthFailureError, CanonicalError, VaxError
 
 SCHEME = "ed25519+x25519"
@@ -129,7 +130,7 @@ def salted_hash(value: bytes, salt: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class VerifyingKey:
+class VerifyingKey(canonical.Wire):
     """Public identity: Ed25519 verify key || X25519 encryption key.
 
     Equality is byte equality; the scheme id travels with every
@@ -138,6 +139,12 @@ class VerifyingKey:
 
     key_bytes: bytes
     scheme: str = SCHEME
+
+    TABLE = canonical.Table(
+        "verifying key",
+        Field("keys", canonical.fixed(64), "key_bytes"),
+        Field("scheme", canonical.TEXT),
+    )
 
     def __post_init__(self):
         if self.scheme != SCHEME:
@@ -152,16 +159,6 @@ class VerifyingKey:
     @property
     def enc_bytes(self) -> bytes:
         return self.key_bytes[32:]
-
-    def to_wire(self) -> dict:
-        return {"scheme": self.scheme, "keys": self.key_bytes}
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "VerifyingKey":
-        keys, scheme = canonical.fields(obj, ("keys", "scheme"), "verifying key")
-        if not (isinstance(keys, bytes) and len(keys) == 64 and isinstance(scheme, str)):
-            raise CanonicalError("malformed verifying key")
-        return cls(key_bytes=keys, scheme=scheme)
 
     def hex(self) -> str:
         return self.key_bytes.hex()
@@ -305,33 +302,32 @@ def verify(vk: VerifyingKey, msg: bytes, sig: bytes) -> bool:
     return True
 
 
-class SignedBody:
+class SignedBody(canonical.Wire):
     """Base of a body an issuer signs: a coupon payload, badge info or
-    status payload, each a frozen dataclass with ``to_wire``/``from_wire``.
+    status payload, each a frozen dataclass with a declared ``TABLE``.
 
-    It keeps its canonical bytes when decoded (``parse``: the exact input
-    bytes) or signed (``SignedEnvelope.sign``), and verifying, hashing and
-    re-encoding read them. A body built in process is encoded on request;
-    callers pass those bytes on rather than ask twice, and holders keep no
-    second copy. The kept bytes are no dataclass field: they take no part
-    in ``==`` or ``repr``.
+    It keeps its canonical bytes when read (the table reader slices them
+    from the input, or ``from_bytes`` keeps its whole input) or signed
+    (``SignedEnvelope.sign``), and verifying, hashing and re-encoding read
+    them. A body built in process is written on request; callers pass
+    those bytes on rather than ask twice, and holders keep no second copy.
+    The kept bytes are no dataclass field: they take no part in ``==`` or
+    ``repr``.
     """
 
     __slots__ = ("_kept",)
 
     def to_bytes(self) -> bytes:
         kept = getattr(self, "_kept", None)
-        return canonical.encode(self.to_wire()) if kept is None else kept
+        return self.TABLE.write(self) if kept is None else kept
 
     def _keep(self, data: bytes) -> "SignedBody":
         object.__setattr__(self, "_kept", data)
         return self
 
     @classmethod
-    def parse(cls, wire) -> "SignedBody":
-        """``from_wire`` that keeps the exact bytes a decoded map came from."""
-        body = cls.from_wire(wire)
-        return body._keep(bytes(wire.raw)) if isinstance(wire, canonical.DecodedMap) else body
+    def from_bytes(cls, data) -> "SignedBody":
+        return cls.TABLE.read(data)._keep(bytes(data))
 
 
 class SignedEnvelope(canonical.Wire):
@@ -339,7 +335,8 @@ class SignedEnvelope(canonical.Wire):
 
     Subclasses are frozen dataclasses with two positional fields: the body,
     named by ``BODY`` and of type ``BODY_TYPE``, then ``signature``. The
-    wire form is ``{BODY: body, "sig": signature}``. The constructor checks
+    wire form is ``{BODY: body, "sig": signature}``, the table each
+    subclass is given. The constructor checks
     both fields, so an envelope that exists is well formed and ``verify``
     is one Ed25519 call over the body's bytes.
     """
@@ -347,6 +344,13 @@ class SignedEnvelope(canonical.Wire):
     __slots__ = ()
     BODY = "payload"
     BODY_TYPE = SignedBody
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.TABLE = canonical.Table(cls.__name__.lower(),
+                                    Field(cls.BODY, canonical.signed(cls.BODY_TYPE.TABLE)),
+                                    Field("sig", canonical.fixed(SIGNATURE_LEN), "signature"),
+                                    build=cls)
 
     def __post_init__(self):
         if not isinstance(self.body, self.BODY_TYPE):
@@ -372,53 +376,27 @@ class SignedEnvelope(canonical.Wire):
             return False
         return verify(vk, msg, self.signature)
 
-    def to_wire(self) -> dict:
-        return {self.BODY: canonical.Encoded(self.body.to_bytes()), "sig": self.signature}
-
-    @classmethod
-    def from_wire(cls, obj) -> "SignedEnvelope":
-        body, sig = canonical.fields(obj, (cls.BODY, "sig"), cls.__name__.lower())
-        return cls(cls.BODY_TYPE.parse(body), sig)
-
-
-def sign_canonical(handle: KeyHandle, value) -> bytes:
-    """Sign the canonical encoding of a wire value."""
-    return handle.sign(canonical.encode(value))
-
-
-def verify_canonical(vk: VerifyingKey, value, sig: bytes) -> bool:
-    try:
-        msg = canonical.encode(value)
-    except CanonicalError:
-        return False
-    return verify(vk, msg, sig)
-
 
 @dataclass(frozen=True)
-class PkCiphertext:
+class PkCiphertext(canonical.Wire):
     """Authenticated public-key ciphertext (ephemeral X25519 + AEAD)."""
 
     ephemeral_pub: bytes
     nonce: bytes
     body: bytes
 
+    TABLE = canonical.Table(
+        "ciphertext",
+        Field("body", canonical.BYTES),
+        Field("eph", canonical.fixed(32), "ephemeral_pub"),
+        Field("nonce", canonical.fixed(_NONCE_LEN)),
+    )
+
     def __post_init__(self):
         if not (isinstance(self.ephemeral_pub, bytes) and len(self.ephemeral_pub) == 32
                 and isinstance(self.nonce, bytes) and len(self.nonce) == _NONCE_LEN
                 and isinstance(self.body, bytes)):
             raise CanonicalError("malformed ciphertext")
-
-    def to_wire(self) -> dict:
-        return {"eph": self.ephemeral_pub, "nonce": self.nonce, "body": self.body}
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "PkCiphertext":
-        body, eph, nonce = canonical.fields(obj, ("body", "eph", "nonce"), "ciphertext")
-        return cls(
-            ephemeral_pub=eph,
-            nonce=nonce,
-            body=body,
-        )
 
 
 def aead_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:

@@ -1,7 +1,7 @@
 """Contactless venue admission: short-lived challenges over a secure channel.
 
 The venue advertises a channel key (with an issuer certificate). A holder
-verifies the advertisement under one of three trust modes, opens an
+verifies the advertisement under one of two trust modes, opens an
 encrypted channel, and submits their status. If the status verifies and
 meets the admission policy, the venue answers with the current challenge
 code encrypted **to the holder key bound inside the signed status** — so
@@ -15,12 +15,12 @@ rotates away.
 
 from __future__ import annotations
 
-import base64
 import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import canonical
+from . import canonical, crypto
+from .canonical import Field
 from .credentials import AppBinding, Status, VaccinationLevel
 from .crypto import (
     KeyHandle,
@@ -33,8 +33,6 @@ from .crypto import (
     generate_keypair,
     randomness,
     sha256,
-    sign_canonical,
-    verify_canonical,
 )
 from .errors import AuthFailureError, CanonicalError, SessionStateError, TrustFailureError
 from .verification import first_match, key_list, verify_status
@@ -54,56 +52,47 @@ def render_code(k: int) -> str:
     )
 
 
-def key_short_code(vk: VerifyingKey) -> str:
-    """Six-character fingerprint of a channel key, for code pinning."""
-    b32 = base64.b32encode(sha256(vk.key_bytes)).decode("ascii")
-    return b32[:CODE_LEN]
-
-
 class TrustMode(enum.Enum):
     ISSUER_SIGNED = "issuer-signed"
     QR_PINNED = "qr-pinned"
-    CODE_PINNED = "code-pinned"
+
+
+# -- frames -------------------------------------------------------------------
+
+# what the issuer signs for a venue: (channel key, venue id)
+_CERT = canonical.Table("venue certificate", Field("channel", VerifyingKey.TABLE),
+                        Field("venue", canonical.TEXT))
+# the holder's first channel message, in clear: (ephemeral key, venue id)
+_HELLO = canonical.Table("channel hello", Field("eph", canonical.fixed(32)),
+                         Field("venue", canonical.TEXT))
+# the door's answer, sealed on the channel: (ciphertext to the holder key,)
+_CHALLENGE = canonical.Table("challenge frame", Field("challenge", PkCiphertext.TABLE))
+# what that ciphertext holds: (code, rotation window)
+_CHALLENGE_BODY = canonical.Table("challenge body", Field("code", canonical.TEXT),
+                                  Field("window", canonical.UINT))
 
 
 # -- venue identity and advertisement ---------------------------------------
 
 
-def _cert_body(venue_id: str, channel_key: VerifyingKey) -> dict:
-    return {"channel": channel_key.to_wire(), "venue": venue_id}
-
-
 @dataclass(frozen=True)
-class VenueAdvertisement:
+class VenueAdvertisement(canonical.Wire):
     """What the venue posts at the door: id, channel key, certificate."""
 
     venue_id: str
     channel_key: VerifyingKey
     cert: bytes
 
-    def to_wire(self) -> dict:
-        return {
-            "cert": self.cert,
-            "channel": self.channel_key.to_wire(),
-            "venue": self.venue_id,
-        }
-
-    @classmethod
-    def from_wire(cls, obj) -> "VenueAdvertisement":
-        cert, channel, venue = canonical.fields(
-            obj, ("cert", "channel", "venue"), "venue advertisement"
-        )
-        if not isinstance(venue, str):
-            raise CanonicalError("malformed venue id")
-        return cls(
-            venue_id=venue,
-            channel_key=VerifyingKey.from_wire(channel),
-            cert=cert,
-        )
+    TABLE = canonical.Table(
+        "venue advertisement",
+        Field("cert", canonical.BYTES),
+        Field("channel", VerifyingKey.TABLE, "channel_key"),
+        Field("venue", canonical.TEXT, "venue_id"),
+    )
 
     def cert_digest(self) -> bytes:
         """Stable digest for QR pinning."""
-        return sha256(canonical.encode(self.to_wire()))
+        return sha256(self.to_bytes())
 
 
 @dataclass
@@ -123,7 +112,7 @@ class VenueIdentity:
 
 def make_venue(issuer_handle: KeyHandle, venue_id: str, rng=None) -> VenueIdentity:
     handle, vk = generate_keypair(rng)
-    cert = sign_canonical(issuer_handle, _cert_body(venue_id, vk))
+    cert = issuer_handle.sign(_CERT.write((vk, venue_id)))
     return VenueIdentity(venue_id=venue_id, handle=handle, cert=cert)
 
 
@@ -133,25 +122,19 @@ def check_advertisement(
     *,
     issuer_key: Optional[VerifyingKey] = None,
     pinned_digest: Optional[bytes] = None,
-    pinned_code: Optional[str] = None,
 ) -> None:
     """Raise TrustFailureError unless the advertisement earns trust."""
     if mode is TrustMode.ISSUER_SIGNED:
         if issuer_key is None:
             raise TrustFailureError("issuer-signed mode needs the issuer key")
-        body = _cert_body(adv.venue_id, adv.channel_key)
-        if not verify_canonical(issuer_key, body, adv.cert):
+        body = _CERT.write((adv.channel_key, adv.venue_id))
+        if not crypto.verify(issuer_key, body, adv.cert):
             raise TrustFailureError("venue certificate does not verify")
     elif mode is TrustMode.QR_PINNED:
         if pinned_digest is None:
             raise TrustFailureError("qr-pinned mode needs the pinned digest")
         if adv.cert_digest() != pinned_digest:
             raise TrustFailureError("advertisement differs from the pinned QR")
-    elif mode is TrustMode.CODE_PINNED:
-        if pinned_code is None:
-            raise TrustFailureError("code-pinned mode needs the displayed code")
-        if key_short_code(adv.channel_key) != pinned_code.strip().upper():
-            raise TrustFailureError("channel key does not match the displayed code")
     else:
         raise TrustFailureError(f"unknown trust mode {mode!r}")
 
@@ -204,32 +187,22 @@ def open_channel(
     *,
     issuer_key=None,
     pinned_digest=None,
-    pinned_code=None,
     rng=None,
 ):
     """Holder side: trust check, then ECDH. Returns (channel, hello bytes);
     AuthFailureError for a channel key that gives no shared secret."""
-    check_advertisement(
-        adv,
-        mode,
-        issuer_key=issuer_key,
-        pinned_digest=pinned_digest,
-        pinned_code=pinned_code,
-    )
+    check_advertisement(adv, mode, issuer_key=issuer_key, pinned_digest=pinned_digest)
     eph_pub, keys = ephemeral_agreement(adv.channel_key, _CHANNEL_INFO, 64, rng)
     channel = _Endpoint(send_key=keys[:32], recv_key=keys[32:])
-    hello = canonical.encode({"eph": eph_pub, "venue": adv.venue_id})
-    return channel, hello
+    return channel, _HELLO.write((eph_pub, adv.venue_id))
 
 
 def accept_channel(identity: VenueIdentity, hello: bytes) -> _Endpoint:
     """Venue side of the handshake; AuthFailureError for an ephemeral key
     that gives no shared secret."""
-    eph_pub, venue = canonical.fields(canonical.decode(hello), ("eph", "venue"), "channel hello")
+    eph_pub, venue = _HELLO.read(hello)
     if venue != identity.venue_id:
         raise CanonicalError("hello addressed to a different venue")
-    if not isinstance(eph_pub, bytes) or len(eph_pub) != 32:
-        raise CanonicalError("bad ephemeral key")
     keys = identity.handle.derive(eph_pub, _CHANNEL_INFO, 64)
     return _Endpoint(send_key=keys[32:], recv_key=keys[:32])
 
@@ -295,13 +268,11 @@ class VenueSession:
         code = self.current_code(now)
         try:
             boxed = encrypt_to(
-                binding.user_key,
-                canonical.encode({"code": code, "window": self._window(now)}),
-                rng=self.rng,
+                binding.user_key, _CHALLENGE_BODY.write((code, self._window(now))), rng=self.rng
             )
         except AuthFailureError:  # a holder key of low order can receive nothing
             return GateDecision(False, "no-holder-key"), None
-        response = channel.seal(canonical.encode({"challenge": boxed.to_wire()}))
+        response = channel.seal(_CHALLENGE.write((boxed,)))
         channel.state = SessionState.CHALLENGE_SENT
         return GateDecision(True, "ok"), response
 
@@ -346,12 +317,9 @@ def receive_challenge(channel: _Endpoint, handle: KeyHandle, frame: bytes) -> st
     """Unbox the challenge; fails unless `handle` matches the key inside
     the submitted status (that is the anti-relay property)."""
     channel._require(SessionState.STATUS_RECEIVED)
-    (challenge,) = canonical.fields(canonical.decode(channel.open(frame)), ("challenge",),
-                                    "challenge frame")
-    boxed = PkCiphertext.from_wire(challenge)
-    inner = canonical.decode(handle.decrypt(boxed))
-    code, _ = canonical.fields(inner, ("code", "window"), "challenge body")
-    if not isinstance(code, str) or len(code) != CODE_LEN:
+    (boxed,) = _CHALLENGE.read(channel.open(frame))
+    code, _ = _CHALLENGE_BODY.read(handle.decrypt(boxed))
+    if len(code) != CODE_LEN:
         raise CanonicalError("malformed challenge code")
     channel.state = SessionState.CHALLENGE_SENT
     return code

@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 from . import canonical
+from .canonical import Field
 from .credentials import pii_pairs
 from .crypto import DIGEST_LEN, SALT_LEN, TAG_LEAF, TAG_NODE, new_salt, tagged_hash
 from .errors import CanonicalError, EmptyRequestError, UnknownLabelError
@@ -46,6 +47,10 @@ def _is_text(value) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+# a (label, value, salt) leaf, as disclosure proofs and wallet files hold it
+LEAF = canonical.tuple_of(canonical.TEXT, canonical.TEXT, canonical.fixed(SALT_LEN))
 
 
 def _leaf(item) -> tuple:
@@ -109,6 +114,14 @@ class DisclosureProof(canonical.Wire):
     paths: tuple  # per disclosed leaf: tuple of (digest, bool)
     root: bytes
 
+    TABLE = canonical.Table(
+        "disclosure proof",
+        Field("disclosed", canonical.list_of(LEAF)),
+        Field("paths", canonical.list_of(canonical.list_of(
+            canonical.tuple_of(canonical.fixed(DIGEST_LEN), canonical.BOOL)))),
+        Field("root", canonical.fixed(DIGEST_LEN)),
+    )
+
     def __post_init__(self):
         if not isinstance(self.root, bytes) or len(self.root) != DIGEST_LEN:
             raise CanonicalError("bad proof root")
@@ -132,26 +145,6 @@ class DisclosureProof(canonical.Wire):
         labels = [l for l, _, _ in self.disclosed]
         if len(set(labels)) != len(labels):
             raise CanonicalError("duplicate disclosed label")
-
-    def to_wire(self) -> dict:
-        return {
-            "disclosed": [[l, v, s] for l, v, s in self.disclosed],
-            "paths": [[[sib, left] for sib, left in path] for path in self.paths],
-            "root": self.root,
-        }
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "DisclosureProof":
-        disclosed, paths, root = canonical.fields(
-            obj, ("disclosed", "paths", "root"), "disclosure proof"
-        )
-        if not isinstance(paths, list):
-            raise CanonicalError("expected list")
-        return cls(
-            disclosed=canonical.tuples(disclosed),
-            paths=tuple(canonical.tuples(path) for path in paths),
-            root=root,
-        )
 
 
 def prove_disclosure(tree: PiiTree, labels) -> DisclosureProof:

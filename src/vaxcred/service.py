@@ -28,6 +28,7 @@ import threading
 import time
 
 from . import canonical, errors
+from .canonical import Field
 from .credentials import BadgeInfo, StatusPayload
 from .errors import CanonicalError, ServiceUnreachableError, VaxError
 from .vaccination import BadgeIssuer, signing_request
@@ -58,32 +59,34 @@ def _recv_frame(rfile) -> bytes:
     return _recv_exact(rfile, length)
 
 
+# a signing request: (badge info, digest of the two bodies, status payload)
+_REQUEST = canonical.Table("signing request", Field("badge", canonical.signed(BadgeInfo.TABLE)),
+                           Field("req", canonical.fixed(32)),
+                           Field("status", canonical.signed(StatusPayload.TABLE)))
+# its answer: (error code, ok, badge signature, status signature), with
+# either the code or the two signatures
+_RESPONSE = canonical.Table("signing response", Field("error", canonical.TEXT, optional=True),
+                            Field("ok", canonical.BOOL),
+                            Field("sb", canonical.fixed(64), optional=True),
+                            Field("ss", canonical.fixed(64), optional=True))
+
+
 def encode_request(badge_info: BadgeInfo, status_payload: StatusPayload) -> bytes:
     badge_bytes, status_bytes = badge_info.to_bytes(), status_payload.to_bytes()
     _, digest = signing_request(badge_bytes, status_bytes)
-    return canonical.encode(
-        {
-            "badge": canonical.Encoded(badge_bytes),
-            "req": digest,
-            "status": canonical.Encoded(status_bytes),
-        }
-    )
+    return _REQUEST.write((badge_bytes, digest, status_bytes))
 
 
 def handle_request_bytes(issuer: BadgeIssuer, data: bytes) -> bytes:
     """Pure request -> response mapping, shared by the server and tests."""
     try:
-        badge, req, status = canonical.fields(
-            canonical.decode(data), ("badge", "req", "status"), "signing request"
-        )
-        sig_badge, sig_status = issuer.sign_badge_request(
-            BadgeInfo.parse(badge), StatusPayload.parse(status), req
-        )
+        badge_info, req, status_payload = _REQUEST.read(data)
+        sig_badge, sig_status = issuer.sign_badge_request(badge_info, status_payload, req)
     except VaxError as exc:
-        return canonical.encode({"error": exc.code, "ok": False})
+        return _RESPONSE.write((exc.code, False, None, None))
     except Exception:
-        return canonical.encode({"error": "internal", "ok": False})
-    return canonical.encode({"ok": True, "sb": sig_badge, "ss": sig_status})
+        return _RESPONSE.write(("internal", False, None, None))
+    return _RESPONSE.write((None, True, sig_badge, sig_status))
 
 
 class SigningServer:
@@ -188,11 +191,11 @@ class SigningClient:
         request = encode_request(badge_info, status_payload)
         with self._lock:
             response = self._exchange(request)
-        obj = canonical.decode(response)
-        if isinstance(obj, dict) and obj.get("ok") is True:
-            _, sig_badge, sig_status = canonical.fields(obj, ("ok", "sb", "ss"), "signing response")
+        code, ok, sig_badge, sig_status = _RESPONSE.read(response)
+        if ok and code is None and sig_badge is not None and sig_status is not None:
             return sig_badge, sig_status
-        code, _ = canonical.fields(obj, ("error", "ok"), "signing response")
+        if ok or code is None or sig_badge is not None or sig_status is not None:
+            raise CanonicalError("malformed signing response")
         raise errors.error_from_code(code)
 
     def _exchange(self, request: bytes) -> bytes:

@@ -22,9 +22,10 @@ Each course rule has one home. BadgeInfo states the shape of a course:
 one or two doses, numbered 1..n, the second not dated before the first.
 The issuer states the signing policy, as it alone makes the signature
 and a remote counter may skip any check: every dose is of the first
-dose's product, and none is dated after the issuer's own clock. The
-registry states the one-use stages, so a completed badge is wrong-state.
-The counter checks only admission: the coupon or badge shown, and its stage.
+dose's product, none is dated after the issuer's own clock, and dose 1
+is the one it signed. The registry states the one-use stages, so a
+completed badge is wrong-state. The counter checks only admission: the
+coupon or badge shown, and its stage.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical
+from .canonical import Field
 from .coupons import Coupon, verify_coupon
 from .credentials import (
     Badge,
@@ -56,6 +58,7 @@ from .errors import (
     BadCouponError,
     BadSignatureError,
     CanonicalError,
+    InvalidTransitionError,
     MismatchError,
     ProductMismatchError,
     WrongStateError,
@@ -90,13 +93,17 @@ def check_admission(vk_issuer: VerifyingKey, registry: Registry, coupon) -> None
         raise AlreadyUsedError(coupon.coupon_id.hex())
 
 
+# what a signing request's digest covers: (badge info, status payload)
+_REQUEST_BODY = canonical.Table("signing request body",
+                                Field("badge", canonical.signed(BadgeInfo.TABLE)),
+                                Field("status", canonical.signed(StatusPayload.TABLE)))
+
+
 def signing_request(badge_bytes: bytes, status_bytes: bytes):
     """(request bytes, digest) for one badge info and status payload, given
     as the exact bytes the issuer signs; pharmacy and issuer both derive
     the digest here. The digest identifies the request: a retry repeats it."""
-    request = canonical.encode(
-        {"badge": canonical.Encoded(badge_bytes), "status": canonical.Encoded(status_bytes)}
-    )
+    request = _REQUEST_BODY.write((badge_bytes, status_bytes))
     return request, sha256(request)
 
 
@@ -121,7 +128,8 @@ class BadgeIssuer:
                            digest: Optional[bytes] = None):
         """Returns (badge signature, status signature) or raises a typed error:
         the status must be the badge's, the coupon genuine, the course of one
-        product and no dose dated in the future.
+        product, no dose dated in the future, and a second dose's first the
+        badge signed at dose 1 (MismatchError).
 
         ``digest`` is the one a signing frame carries; a request whose
         derived digest differs is refused before anything is recorded.
@@ -147,12 +155,20 @@ class BadgeIssuer:
         utc_today = _dt.datetime.now(_dt.timezone.utc).date()
         if parse_date(last.date) > utc_today + _dt.timedelta(days=1):
             raise CanonicalError(f"dose date {last.date} is in the future")
+        coupon_id = badge_info.coupon.coupon_id
+        if len(badge_info.dose_history) == 2:  # signing is deterministic: dose 1 signs alike
+            dose1 = BadgeInfo((first,), badge_info.coupon, badge_info.binding).to_bytes()
+            if self._registry.match_badge(
+                    coupon_id, badge_digest(self._handle.sign(dose1), dose1)) is None:
+                if self._registry.check(coupon_id).stage is Stage.UNUSED:
+                    raise InvalidTransitionError("second dose before first")
+                raise MismatchError("dose 1 is not the badge signed for this coupon")
 
         badge_sig = self._handle.sign(badge_bytes)  # deterministic: a retry signs alike
         self._registry.mark_used(
-            badge_info.coupon.coupon_id,
+            coupon_id,
             len(badge_info.dose_history),
-            date=badge_info.dose_history[-1].date,
+            date=last.date,
             request_digest=derived,
             badge_digest=badge_digest(badge_sig, badge_bytes),
         )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import canonical, config, durable
+from .canonical import Field
 from .credentials import (
     Badge,
     Commitment,
@@ -38,7 +39,7 @@ from .errors import (
     NotApplicableError,
     VariantError,
 )
-from .merkle import DisclosureProof, PiiTree, build_pii_tree, prove_disclosure
+from .merkle import LEAF, DisclosureProof, PiiTree, build_pii_tree, prove_disclosure
 
 
 class PresentationKind(enum.Enum):
@@ -73,6 +74,15 @@ class Presentation(canonical.Wire):
     passkey: Optional[Passkey] = None
     proof: Optional[DisclosureProof] = None
 
+    TABLE = canonical.Table(
+        "presentation",
+        Field("badge", Badge.TABLE, optional=True),
+        Field("kind", canonical.enum_of(canonical.TEXT, PresentationKind)),
+        Field("passkey", Passkey.TABLE, optional=True),
+        Field("proof", DisclosureProof.TABLE, optional=True),
+        Field("status", Status.TABLE, optional=True),
+    )
+
     def __post_init__(self):
         if not isinstance(self.kind, PresentationKind):
             raise CanonicalError(f"unknown presentation kind {self.kind!r}")
@@ -85,24 +95,6 @@ class Presentation(canonical.Wire):
                 raise CanonicalError(f"{self.kind.value} must not carry {name}")
             if value is not None and not isinstance(value, typ):
                 raise CanonicalError(f"presentation {name} must be a {typ.__name__}")
-
-    def to_wire(self) -> dict:
-        wire = {"kind": self.kind.value}
-        for name in _PART_TYPES:
-            value = getattr(self, name)
-            if value is not None:
-                wire[name] = value.to_wire()
-        return wire
-
-    @classmethod
-    def from_wire(cls, obj) -> "Presentation":
-        kind = canonical.fields(obj, ("kind",), "presentation", tuple(_PART_TYPES))[0]
-        try:
-            kind = PresentationKind(kind)
-        except ValueError:
-            raise CanonicalError(f"unknown presentation kind {kind!r}") from None
-        kwargs = {n: typ.from_wire(obj[n]) for n, typ in _PART_TYPES.items() if n in obj}
-        return cls(kind=kind, **kwargs)
 
 
 @dataclass
@@ -226,38 +218,37 @@ def second_dose_due(state: WalletState, today, interval_days: int = config.DOSE_
 # -- persistence -------------------------------------------------------------
 
 _WALLET_INFO = b"vaxcred wallet v1"
-_STORED_TYPES = {"coupon": Coupon, "badge": Badge, "status": Status, "passkey": Passkey}
+# the sealed body: (badge, coupon, sealed key, tree leaves, passkey, status, variant)
+_WALLET_BODY = canonical.Table(
+    "wallet body",
+    Field("badge", Badge.TABLE, optional=True),
+    Field("coupon", Coupon.TABLE, optional=True),
+    Field("key", canonical.BYTES, optional=True),
+    Field("leaves", canonical.list_of(LEAF), optional=True),
+    Field("passkey", Passkey.TABLE, optional=True),
+    Field("status", Status.TABLE, optional=True),
+    Field("variant", canonical.TEXT),
+)
 
 
-def _wallet_wire(state: WalletState, passphrase: str) -> dict:
-    wire = {"variant": state.variant}
-    for name in _STORED_TYPES:
-        value = getattr(state, name)
-        if value is not None:
-            wire[name] = value.to_wire()
-    if state.key is not None:
-        wire["key"] = state.key.seal(passphrase)
-    if state.pii_tree is not None:
-        wire["leaves"] = [[l, v, s] for l, v, s in state.pii_tree.leaves]
-    return wire
+def _wallet_body(state: WalletState, passphrase: str) -> bytes:
+    key = state.key.seal(passphrase) if state.key is not None else None
+    leaves = state.pii_tree.leaves if state.pii_tree is not None else None
+    return _WALLET_BODY.write((state.badge, state.coupon, key, leaves, state.passkey,
+                               state.status, state.variant))
 
 
-def _wallet_from_wire(obj: dict, passphrase: str) -> WalletState:
-    variant, key, leaves = canonical.fields(
-        obj, ("variant",), "wallet body", ("key", "leaves", *_STORED_TYPES)
-    )[:3]
-    tree = PiiTree.from_leaves(canonical.tuples(leaves)) if "leaves" in obj else None
-    stored = {n: typ.from_wire(obj[n]) for n, typ in _STORED_TYPES.items() if n in obj}
+def _wallet_from_body(body: bytes, passphrase: str) -> WalletState:
+    badge, coupon, key, leaves, passkey, status, variant = _WALLET_BODY.read(body)
     return WalletState(
-        variant=variant,
-        key=KeyHandle.unseal(key, passphrase) if "key" in obj else None,
-        pii_tree=tree,
-        **stored,
+        variant=variant, coupon=coupon, badge=badge, status=status, passkey=passkey,
+        key=KeyHandle.unseal(key, passphrase) if key is not None else None,
+        pii_tree=PiiTree.from_leaves(leaves) if leaves is not None else None,
     )
 
 
 def save_wallet(state: WalletState, path, passphrase: str) -> None:
-    body = canonical.encode(_wallet_wire(state, passphrase))
+    body = _wallet_body(state, passphrase)
     durable.replace(path, seal_with_passphrase(body, passphrase, _WALLET_INFO))
 
 
@@ -265,4 +256,4 @@ def load_wallet(path, passphrase: str) -> WalletState:
     with open(path, "rb") as fh:
         blob = fh.read()
     body = open_with_passphrase(blob, passphrase, _WALLET_INFO)
-    return _wallet_from_wire(canonical.decode(body), passphrase)
+    return _wallet_from_body(body, passphrase)

@@ -34,7 +34,7 @@ def _record(**kw):
 
 def test_payload_round_trip():
     payload = CouponPayload(index=7, zip_code="02139", job_type="healthcare")
-    again = CouponPayload.from_wire(payload.to_wire())
+    again = CouponPayload.from_bytes(payload.to_bytes())
     assert again == payload
 
 

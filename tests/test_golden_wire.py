@@ -155,8 +155,7 @@ def test_other_wire_forms_are_pinned(built, name):
 def test_pinned_coupon_url_and_advertisement_decode(built):
     objects, _, adv = built
     assert import_coupon_url(GOLDEN["coupon_url"]) == objects["coupon"]
-    wire = canonical.decode(bytes.fromhex(GOLDEN["advertisement"]))
-    assert VenueAdvertisement.from_wire(wire) == adv
+    assert VenueAdvertisement.from_bytes(bytes.fromhex(GOLDEN["advertisement"])) == adv
 
 
 def test_pinned_types_match(built):

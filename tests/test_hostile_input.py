@@ -33,6 +33,7 @@ from vaxcred import canonical, cli, crypto, wallet
 from vaxcred.config import parse_config
 from vaxcred.coupons import Coupon, CouponPayload, issue_coupon_batch
 from vaxcred.credentials import (
+    BINDING,
     Badge,
     BadgeInfo,
     Commitment,
@@ -40,7 +41,6 @@ from vaxcred.credentials import (
     Passkey,
     Status,
     StatusPayload,
-    binding_from_wire,
     status_for,
 )
 from vaxcred.crypto import KeyHandle, PkCiphertext, VerifyingKey, encrypt_to, generate_keypair
@@ -118,7 +118,7 @@ class _World:
         app = wallet_init_app(PII, coupon=coupons[1], rng=rng)
         wallet.save_wallet(paper, path["paper_wallet"], PASS)
         wallet.save_wallet(app, path["app_wallet"], PASS)
-        self.wallet_bodies = [canonical.encode(wallet._wallet_wire(w, PASS)) for w in (paper, app)]
+        self.wallet_bodies = [wallet._wallet_body(w, PASS) for w in (paper, app)]
         self.key_blob = self.handle.seal(PASS)
 
         info = BadgeInfo(dose_history=(_dose(1),), coupon=coupons[2],
@@ -146,25 +146,25 @@ class _World:
         status_wire = canonical.decode(wires["status_app_dose2"])
         self.wire = {  # seeds for each reader in WIRE_READERS
             "Coupon": [wires["coupon"], coupons[3].to_bytes()],
-            "CouponPayload": [bytes(canonical.decode(wires["coupon"])["payload"].raw)],
+            "CouponPayload": [canonical.encode(canonical.decode(wires["coupon"])["payload"])],
             "Badge": [wires["badge_paper_dose2"], wires["badge_app_dose1"]],
-            "BadgeInfo": [bytes(badge_wire["info"].raw)],
-            "DoseInfo": [bytes(badge_wire["info"]["doses"][0].raw)],
+            "BadgeInfo": [canonical.encode(badge_wire["info"])],
+            "DoseInfo": [canonical.encode(badge_wire["info"]["doses"][0])],
             "Status": [wires["status_paper_dose1"], wires["status_app_dose2"]],
-            "StatusPayload": [bytes(status_wire["payload"].raw)],
+            "StatusPayload": [canonical.encode(status_wire["payload"])],
             "Passkey": [wires["passkey"]],
             "DisclosureProof": [wires["disclosure_proof"], proof.to_bytes()],
             "VenueAdvertisement": [wires["advertisement"]],
-            "VerifyingKey": [bytes(canonical.decode(wires["advertisement"])["channel"].raw)],
-            "PkCiphertext": [canonical.encode(encrypt_to(self.vk, b"box", rng).to_wire())],
+            "VerifyingKey": [canonical.encode(canonical.decode(wires["advertisement"])["channel"])],
+            "PkCiphertext": [encrypt_to(self.vk, b"box", rng).to_bytes()],
             "Presentation": [
                 Presentation(kind=PresentationKind.STATUS_WITH_PASSKEY, status=status,
                              passkey=passkey).to_bytes(),
                 Presentation(kind=PresentationKind.STATUS_WITH_DISCLOSURE,
                              status=app_status, proof=proof).to_bytes(),
             ],
-            "binding": [bytes(badge_wire["info"]["binding"].raw),
-                        bytes(status_wire["payload"]["binding"].raw)],
+            "binding": [canonical.encode(badge_wire["info"]["binding"]),
+                        canonical.encode(status_wire["payload"]["binding"])],
         }
         self.qr = [encode_qr(x) for x in (coupons[4], badge, app_status, passkey, proof)]
         self.urls = [export_coupon_url(coupons[4]), GOLDEN["coupon_url"]]
@@ -459,20 +459,21 @@ def _argv_entry(values, template):
     return argv, lambda world, argv: run_cli(argv)
 
 
+# each wire type's table, read from the wire
 WIRE_READERS = {
-    "Coupon": Coupon.from_wire, "CouponPayload": CouponPayload.from_wire,
-    "Badge": Badge.from_wire, "BadgeInfo": BadgeInfo.from_wire, "DoseInfo": DoseInfo.from_wire,
-    "Status": Status.from_wire, "StatusPayload": StatusPayload.from_wire,
-    "Passkey": Passkey.from_wire, "DisclosureProof": DisclosureProof.from_wire,
-    "VenueAdvertisement": VenueAdvertisement.from_wire, "VerifyingKey": VerifyingKey.from_wire,
-    "PkCiphertext": PkCiphertext.from_wire, "Presentation": Presentation.from_wire,
-    "binding": binding_from_wire,
+    "Coupon": Coupon.TABLE, "CouponPayload": CouponPayload.TABLE,
+    "Badge": Badge.TABLE, "BadgeInfo": BadgeInfo.TABLE, "DoseInfo": DoseInfo.TABLE,
+    "Status": Status.TABLE, "StatusPayload": StatusPayload.TABLE,
+    "Passkey": Passkey.TABLE, "DisclosureProof": DisclosureProof.TABLE,
+    "VenueAdvertisement": VenueAdvertisement.TABLE, "VerifyingKey": VerifyingKey.TABLE,
+    "PkCiphertext": PkCiphertext.TABLE, "Presentation": Presentation.TABLE,
+    "binding": BINDING,
 }
 
 
 def _wire_entry(name):
     return (lambda world: canonical_mutants(world.wire[name]),
-            lambda world, data: WIRE_READERS[name](canonical.decode(data)))
+            lambda world, data: WIRE_READERS[name].read(data))
 
 
 # named by the command and the flag whose value is drawn

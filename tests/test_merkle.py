@@ -153,7 +153,7 @@ def test_unknown_label_and_empty_request(rng):
 def test_proof_wire_round_trip(rng):
     tree = build_pii_tree(_entries(5), rng)
     proof = prove_disclosure(tree, ("label02", "label04"))
-    again = DisclosureProof.from_wire(proof.to_wire())
+    again = DisclosureProof.from_bytes(canonical.encode(proof.to_wire()))
     assert verify_disclosure(tree.root, again)
     assert sorted(l for l, _, _ in again.disclosed) == ["label02", "label04"]
     assert verify_disclosure(tree.root, DisclosureProof.from_bytes(proof.to_bytes()))
@@ -165,7 +165,7 @@ def test_proof_wire_strictness(rng):
     mangled = dict(proof.to_wire())
     mangled["extra"] = 1
     with pytest.raises(CanonicalError):
-        DisclosureProof.from_wire(mangled)
+        DisclosureProof.from_bytes(canonical.encode(mangled))
 
 
 def test_verify_is_total_on_garbage(rng):

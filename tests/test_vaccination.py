@@ -21,7 +21,7 @@ from vaxcred.credentials import (
     pii_commitment,
     status_for,
 )
-from vaxcred.crypto import generate_keypair, new_salt
+from vaxcred.crypto import generate_keypair, new_salt, sha256
 from vaxcred.errors import (
     AlreadyUsedError,
     BadCouponError,
@@ -41,7 +41,6 @@ from vaxcred.vaccination import (
     PharmacySession,
     badge_digest,
     check_admission,
-    signing_request,
 )
 from vaxcred.verification import verify_badge, verify_status
 
@@ -330,6 +329,50 @@ def test_the_signer_states_the_course_rules(case, issuer, registry, coupon, sess
         assert reply == {"error": refusal, "ok": False} and stage is before
 
 
+DOSE1_REWRITES = {  # case -> the dose-1 record a second-dose frame restates
+    "other-product-and-earlier-date": _dose(product="VX-BETA", date="2021-01-01"),
+    "other-lot": _dose(lot="L-9"),
+}
+
+
+@pytest.mark.parametrize("case", list(DOSE1_REWRITES))
+def test_a_second_dose_frame_cannot_rewrite_dose_one(case, issuer, registry, coupon, session):
+    """A signing frame carries its own copy of dose 1. The issuer signs that
+    copy again and matches it against the badge digest the registry kept
+    at dose 1, so a frame restating dose 1 (and a dose 2 to suit it) is
+    refused, and the coupon stays at dose 1."""
+    badge, _, _ = session.issue_credentials_paper(coupon, _dose(), PII)
+    first = DOSE1_REWRITES[case]
+    second = _dose(n=2, date="2021-02-22", product=first.product)
+    info = dataclasses.replace(badge.info, dose_history=(first, second))
+    reply = canonical.decode(handle_request_bytes(
+        BadgeIssuer(issuer, registry), encode_request(info, status_for(info))))
+    assert reply == {"error": "mismatch", "ok": False}
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE1
+    honest = dataclasses.replace(info, dose_history=(*badge.info.dose_history,
+                                                     _dose(n=2, date="2021-02-22")))
+    reply = canonical.decode(handle_request_bytes(
+        BadgeIssuer(issuer, registry), encode_request(honest, status_for(honest))))
+    assert reply["ok"] is True
+    assert registry.check(coupon.coupon_id).stage is Stage.DOSE2
+
+
+def test_a_frame_whose_digest_is_not_its_request_is_refused(issuer, registry, coupon, rng):
+    """The digest a frame carries must be the one its badge and status
+    bytes give: otherwise the issuer answers ``canonical``, records
+    nothing and keeps no copy of the request."""
+    info = BadgeInfo(binding=Commitment(pii_commitment(PII, new_salt(rng))), coupon=coupon,
+                     dose_history=(_dose(),))
+    frame = canonical.decode(encode_request(info, status_for(info)))
+    badge_issuer = BadgeIssuer(issuer, registry)
+    for req in (bytes(32), sha256(frame["req"])):
+        request = canonical.encode({**frame, "req": req})
+        reply = canonical.decode(handle_request_bytes(badge_issuer, request))
+        assert reply == {"error": "canonical", "ok": False}
+    assert registry.check(coupon.coupon_id).stage is Stage.UNUSED
+    assert badge_issuer.received_requests == []
+
+
 BADGE_SHAPES = {  # case -> (dose numbers, their days in February 2021, the rule refusing)
     "no-doses": ((), (), "at least one dose"),
     # the numbering rule refuses three doses too; the message pins this check
@@ -351,14 +394,11 @@ def test_badge_info_states_the_shape_of_a_course(case, issuer, registry, coupon,
     with pytest.raises(CanonicalError, match=rule):
         BadgeInfo(dose_history=doses, coupon=coupon, binding=binding)
     one = BadgeInfo(dose_history=(_dose(),), coupon=coupon, binding=binding)
-    badge_bytes = canonical.encode({**canonical.decode(one.to_bytes()),
-                                    "doses": [d.to_wire() for d in doses]})
+    badge_wire = {**one.to_wire(), "doses": [d.to_wire() for d in doses]}
     with pytest.raises(CanonicalError, match=rule):
-        BadgeInfo.from_wire(canonical.decode(badge_bytes))
-    status_bytes = status_for(one).to_bytes()
-    _, digest = signing_request(badge_bytes, status_bytes)
-    frame = canonical.encode({"badge": canonical.Encoded(badge_bytes), "req": digest,
-                              "status": canonical.Encoded(status_bytes)})
+        BadgeInfo.from_bytes(canonical.encode(badge_wire))
+    body = {"badge": badge_wire, "status": status_for(one).to_wire()}
+    frame = canonical.encode({**body, "req": sha256(canonical.encode(body))})
     reply = canonical.decode(handle_request_bytes(BadgeIssuer(issuer, registry), frame))
     assert reply == {"error": "canonical", "ok": False}
     assert registry.check(coupon.coupon_id).stage is Stage.UNUSED
