@@ -13,15 +13,15 @@ with str keys. None is not encodable; optional fields are simply omitted.
 Each wire type declares its map once, as a ``Table`` of ``Field``s beside
 the type: the key, the kind of value (an unsigned int, bytes of any or a
 fixed length, text, a bool, a nested table, a list or tuple of kinds, or
-a signed body) and whether the field is optional. One reader
-and one writer work from the table. The reader walks the input once: it
-matches each expected key as its encoded bytes, in table order, reads the
-value in place under the same strictness as ``decode``, keeps a signed
-body's exact input bytes, and builds the object once. It accepts exactly
-the encodings ``decode`` accepts whose value has the table's shape. The
-writer joins the encoded keys and values. ``encode`` and ``decode`` stay
-as the generic reference; JSON maps read from files are checked with
-``fields``.
+a signed body) and whether the field is optional. One reader and one
+writer work from the table. The reader walks the input once: it matches
+each expected key as its encoded bytes, in table order, reads the value
+in place under the same strictness as ``decode``, keeps a signed body's
+exact input bytes, and builds the object once. It accepts exactly the
+encodings ``decode`` accepts whose value has the table's shape. The
+writer joins the encoded keys and values and refuses a value not of its
+field's kind. ``encode`` and ``decode`` stay as the generic reference;
+JSON maps read from files are checked with ``fields``.
 """
 
 from __future__ import annotations
@@ -200,6 +200,8 @@ def _taker(kind: Kind):
             count, pos = _take_varint(data, pos)
             if code == _TUPLE and count != len(inner):
                 raise CanonicalError(f"expected a list of {len(inner)}")
+            if count > len(data) - pos:  # each item takes a byte at least
+                raise CanonicalError("truncated value")
             items = []
             for item in inner if code == _TUPLE else (inner,) * count:
                 if not data.startswith(item.tag, pos):
@@ -225,19 +227,23 @@ def _putter(kind: Kind):
     code, size, inner, enum = kind.code, kind.size, kind.inner, kind.enum
     if code == _UINT:
         def put(value, out):
-            if not 0 <= value <= _U64_MAX:
-                raise CanonicalError(f"integer out of unsigned 64-bit range: {value}")
+            if type(value) is not int or not 0 <= value <= _U64_MAX:
+                raise CanonicalError(f"not an unsigned 64-bit integer: {value!r}")
             out.append(_head(_TAG_UINT, value))
     elif code == _BOOL:
         def put(value, out):
             out.append(b"\x04\x01" if value else b"\x04\x00")
-    elif code == _BYTES or code == _TEXT:
+    elif code == _TEXT:
         def put(value, out):
-            if code == _TEXT:
-                value = _utf8(value)
-            elif size is not None and len(value) != size:
-                raise CanonicalError(f"bytes of length {len(value)}, not {size}")
-            out += (_head(kind.tag[0], len(value)), value)
+            if type(value) is not str:
+                raise CanonicalError(f"{type(value).__name__} where text is declared")
+            value = _utf8(value)
+            out += (_head(_TAG_TEXT, len(value)), value)
+    elif code == _BYTES:
+        def put(value, out):
+            if type(value) is not bytes or size is not None and len(value) != size:
+                raise CanonicalError(f"not {size or 'any'} bytes: {type(value).__name__}")
+            out += (_head(_TAG_BYTES, len(value)), value)
     elif code == _SIGNED:  # a body, or bytes it was written to
         def put(value, out):
             out.append(value if type(value) is bytes else value.to_bytes())
@@ -300,10 +306,13 @@ class Table:
         if keys != sorted(set(keys)):
             raise ValueError(f"{what}: fields must be declared in key byte order")
         self.what, self.fields, self.build = what, fields, build
-        # a key's encoding, then with its value's type tag, which the reader matches
+        # the reader matches a key's encoding and its value's type tag; the
+        # writer puts the key's encoding
         heads = [_head(_TAG_TEXT, len(k)) + k for k in keys]
-        self.rows = tuple((head, head + f.kind.tag, len(head) + 1, f.kind, f.attr or f.key,
+        self.rows = tuple((head + f.kind.tag, len(head) + 1, f.kind.take, f.attr or f.key,
                            f.optional) for head, f in zip(heads, fields))
+        self.cells = tuple((head, f.kind.put, f.attr or f.key, f.optional)
+                           for head, f in zip(heads, fields))
 
     def __set_name__(self, owner, name):
         self.build = owner
@@ -327,10 +336,10 @@ class Table:
         left unread, which refuses the map."""
         count, pos = _take_varint(data, pos)
         values = {}
-        for _, head, size, kind, attr, optional in self.rows:
+        for head, size, take, attr, optional in self.rows:
             if count and data.startswith(head, pos):
                 count -= 1
-                values[attr], pos = kind.take(data, pos + size)
+                values[attr], pos = take(data, pos + size)
             elif optional:
                 values[attr] = None
             else:
@@ -346,15 +355,18 @@ class Table:
     def put(self, obj, out: list) -> None:
         at, count = len(out), 0
         out.append(b"")  # the map's head, once its entries are counted
-        values = obj if self.build is None else [getattr(obj, row[4], None) for row in self.rows]
-        for (key, _, _, kind, attr, optional), value in zip(self.rows, values, strict=True):
+        frame = self.build is None
+        if frame and len(obj) != len(self.cells):
+            raise CanonicalError(f"{self.what} of {len(self.cells)} values")
+        for i, (key, put, attr, optional) in enumerate(self.cells):
+            value = obj[i] if frame else getattr(obj, attr, None)
             if value is None:
                 if not optional:
                     raise CanonicalError(f"{self.what} needs {attr}")
                 continue
             count += 1
             out.append(key)
-            kind.put(value, out)
+            put(value, out)
         out[at] = _head(_TAG_MAP, count)
 
 

@@ -34,7 +34,6 @@ from .errors import (
 from .config import DEFAULT_JOB_TYPES
 
 _ZIP_RE = re.compile(r"[0-9]{5}")
-_MAX_INDEX = 2 ** 64 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,10 +50,6 @@ class CouponPayload(SignedBody):
     )
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or isinstance(self.index, bool):
-            raise CanonicalError("coupon index must be an integer")
-        if not 0 <= self.index <= _MAX_INDEX:
-            raise CanonicalError("coupon index out of range")
         if not isinstance(self.zip_code, str) or not _ZIP_RE.fullmatch(self.zip_code):
             raise InvalidZipError(f"bad zip code {self.zip_code!r}")
         if not isinstance(self.job_type, str) or not self.job_type:

@@ -22,10 +22,12 @@ from .coupons import Coupon
 from .crypto import (
     DIGEST_LEN,
     SALT_LEN,
+    TAG_PASSKEY,
     SignedBody,
     SignedEnvelope,
     VerifyingKey,
     salted_hash,
+    tagged_hash,
 )
 from .errors import CanonicalError, DuplicateLabelError, EmptyRequestError, MismatchError
 
@@ -64,10 +66,6 @@ def pii_commitment(entries, salt: bytes) -> bytes:
 class _DigestBinding:
     digest: bytes
 
-    def __post_init__(self):
-        if not isinstance(self.digest, bytes) or len(self.digest) != DIGEST_LEN:
-            raise CanonicalError("bad binding digest")
-
 
 @dataclass(frozen=True, slots=True)
 class Commitment(_DigestBinding):
@@ -98,12 +96,6 @@ class AppBinding:
     pii_root: bytes
 
     kind = "app"
-
-    def __post_init__(self):
-        if not isinstance(self.user_key, VerifyingKey):
-            raise CanonicalError("app binding needs a verifying key")
-        if not isinstance(self.pii_root, bytes) or len(self.pii_root) != DIGEST_LEN:
-            raise CanonicalError("bad binding root")
 
 
 _DIGEST_BINDINGS = {cls.kind: cls for cls in (Commitment, TreeRoot, PasskeyHash)}
@@ -188,12 +180,6 @@ class BadgeInfo(SignedBody):
     )
 
     def __post_init__(self):
-        if not isinstance(self.dose_history, tuple) or not all(
-            isinstance(d, DoseInfo) for d in self.dose_history
-        ):
-            raise CanonicalError("dose history must be a tuple of dose records")
-        if not isinstance(self.coupon, Coupon):
-            raise CanonicalError("badge coupon must be a Coupon")
         if not self.dose_history:
             raise CanonicalError("badge needs at least one dose")
         if len(self.dose_history) > 2:
@@ -288,8 +274,6 @@ class Passkey(canonical.Wire):
     )
 
     def __post_init__(self):
-        if not isinstance(self.salt, bytes) or len(self.salt) != SALT_LEN:
-            raise CanonicalError("bad passkey salt")
         if not isinstance(self.pii, tuple) or not all(
             isinstance(kv, tuple) and len(kv) == 2
             and isinstance(kv[0], str) and isinstance(kv[1], str)
@@ -301,3 +285,7 @@ class Passkey(canonical.Wire):
 
     def commitment(self) -> bytes:
         return salted_hash(PII.write(self.pii), self.salt)  # pii is sorted: see above
+
+    def fingerprint(self) -> bytes:
+        """Stable identifier for audit transcripts (not shown to venues)."""
+        return tagged_hash(TAG_PASSKEY, self.to_bytes())

@@ -392,12 +392,6 @@ class PkCiphertext(canonical.Wire):
         Field("nonce", canonical.fixed(_NONCE_LEN)),
     )
 
-    def __post_init__(self):
-        if not (isinstance(self.ephemeral_pub, bytes) and len(self.ephemeral_pub) == 32
-                and isinstance(self.nonce, bytes) and len(self.nonce) == _NONCE_LEN
-                and isinstance(self.body, bytes)):
-            raise CanonicalError("malformed ciphertext")
-
 
 def aead_seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
     """ChaCha20-Poly1305 under a 32-byte key and a 12-byte nonce."""

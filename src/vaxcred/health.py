@@ -128,6 +128,10 @@ def split_shares(
     return ShareBundle(share_a=tuple(share_a), share_b=tuple(share_b), p=p)
 
 
+def recombine(bundle: ShareBundle) -> tuple:
+    return tuple((a + b) % bundle.p for a, b in zip(bundle.share_a, bundle.share_b))
+
+
 class AggServer:
     """One aggregation server: a running sum and a count, nothing else.
 

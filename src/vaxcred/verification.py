@@ -3,7 +3,9 @@
 Venues verify signatures against a set of accepted issuer keys, check
 binding consistency between what is shown together, and extract only the
 vaccination level plus whatever fields the holder disclosed. Verification
-never persists anything.
+never persists anything; the transcript recorder below exists for
+linkability analysis in tests and stores exactly what a venue could have
+written down.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .credentials import AppBinding, Badge, BadgeInfo, PasskeyHash, Status, VaccinationLevel
+from .credentials import (
+    AppBinding,
+    Badge,
+    BadgeInfo,
+    Commitment,
+    PasskeyHash,
+    Status,
+    TreeRoot,
+    VaccinationLevel,
+)
 from .crypto import VerifyingKey
 from .errors import EmptyRequestError
 from .merkle import verify_disclosure
@@ -112,3 +123,79 @@ def first_match(fn, keys):
         if result is not None:
             return result
     return None
+
+
+# -- linkability analysis (test harness; venues never persist) --------------
+
+
+@dataclass(frozen=True)
+class VenueTranscript:
+    """What one venue could record from one presentation: the raw bytes
+    plus every stable identifier extractable from them."""
+
+    venue_id: str
+    kind: str
+    identifiers: tuple  # of (name, hex value)
+    raw: bytes
+
+    @classmethod
+    def record(cls, venue_id: str, presentation: Presentation) -> "VenueTranscript":
+        idents = {}
+        if presentation.status is not None:
+            binding = presentation.status.payload.binding
+            if isinstance(binding, PasskeyHash):
+                idents["commitment"] = binding.digest.hex()
+            elif isinstance(binding, AppBinding):
+                idents["pii-root"] = binding.pii_root.hex()
+                idents["holder-key"] = binding.user_key.key_bytes.hex()
+        if presentation.badge is not None:
+            idents["coupon"] = presentation.badge.info.coupon.coupon_id.hex()
+            binding = presentation.badge.info.binding
+            if isinstance(binding, Commitment):
+                idents["commitment"] = binding.digest.hex()
+            elif isinstance(binding, TreeRoot):
+                idents["pii-root"] = binding.digest.hex()
+        if presentation.passkey is not None:
+            idents["passkey"] = presentation.passkey.fingerprint().hex()
+            idents["commitment"] = presentation.passkey.commitment().hex()
+        if presentation.proof is not None:
+            idents["pii-root"] = presentation.proof.root.hex()
+            for label, value, _ in presentation.proof.disclosed:
+                idents[f"field:{label}"] = value.encode("utf-8").hex()
+        return cls(
+            venue_id=venue_id,
+            kind=presentation.kind.value,
+            identifiers=tuple(sorted(idents.items())),
+            raw=presentation.to_bytes(),
+        )
+
+
+@dataclass(frozen=True)
+class LinkageReport:
+    pairs: tuple  # of (i, j, shared identifier names)
+
+    @property
+    def any_linkable(self) -> bool:
+        return bool(self.pairs)
+
+    def linkable(self, i: int, j: int) -> bool:
+        key = (min(i, j), max(i, j))
+        return any((a, b) == key for a, b, _ in self.pairs)
+
+
+def linkage_audit(transcripts) -> LinkageReport:
+    """Which transcript pairs share a stable identifier value?"""
+    transcripts = list(transcripts)
+    if len(transcripts) < 2:
+        raise EmptyRequestError("linkage audit needs at least two transcripts")
+    pairs = []
+    for i in range(len(transcripts)):
+        for j in range(i + 1, len(transcripts)):
+            a = dict(transcripts[i].identifiers)
+            b = dict(transcripts[j].identifiers)
+            shared = tuple(
+                sorted(name for name in a.keys() & b.keys() if a[name] == b[name])
+            )
+            if shared:
+                pairs.append((i, j, shared))
+    return LinkageReport(pairs=tuple(pairs))

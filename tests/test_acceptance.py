@@ -15,7 +15,6 @@ import time
 import pytest
 from scipy import stats
 
-from linkage import VenueTranscript, linkage_audit
 from vaxcred.config import FIELD_MODULUS
 from vaxcred.coupons import Coupon, CouponPayload, issue_coupon_batch
 from vaxcred.credentials import (
@@ -50,7 +49,8 @@ from vaxcred.qr import MAX_QR_CHARS, decode_qr, encode_qr
 from vaxcred.registry import Registry
 from vaxcred.scenario import canonical_script, run_scenario
 from vaxcred.vaccination import BadgeIssuer, PharmacySession, check_admission
-from vaxcred.verification import verify_badge, verify_status
+from vaxcred.verification import VenueTranscript, linkage_audit, verify_badge, \
+    verify_status
 from vaxcred.wallet import (
     DisclosureConsent,
     PresentationKind,

@@ -40,6 +40,7 @@ from vaxcred.health import (
     load_feed,
     match_alerts,
     publish_alert_feed,
+    recombine,
     save_feed,
     split_shares,
     upload_report,
@@ -75,12 +76,6 @@ def test_vector_validation():
 
 
 # -- share splitting ------------------------------------------------------------
-
-
-def recombine(bundle) -> tuple:
-    """The vector two shares add up to, mod p: what only both servers
-    together could learn."""
-    return tuple((a + b) % bundle.p for a, b in zip(bundle.share_a, bundle.share_b))
 
 
 def test_split_recombine_round_trip(rng):

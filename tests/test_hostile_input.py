@@ -23,6 +23,7 @@ import json
 import os
 import pathlib
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -44,7 +45,7 @@ from vaxcred.credentials import (
     status_for,
 )
 from vaxcred.crypto import KeyHandle, PkCiphertext, VerifyingKey, encrypt_to, generate_keypair
-from vaxcred.errors import VaxError
+from vaxcred.errors import CanonicalError, VaxError
 from vaxcred.groupverify import (
     TrustMode,
     VenueAdvertisement,
@@ -537,3 +538,24 @@ def test_outside_input_is_read_or_refused_as_a_typed_error(world, entry, data):
         read(world, value)
     except VaxError:
         pass
+
+
+@pytest.mark.parametrize("count", [2**28, 2**62])
+def test_a_frame_claiming_a_huge_list_is_refused_with_nothing_allocated(world, count):
+    """A signing frame, or a QR code, of a few hundred bytes whose dose
+    list claims 2**28 or more items is refused as non-canonical without
+    allocating for the items it claims."""
+    head = b"\x03\x05doses"
+    frame, badge = (data.replace(head + canonical._head(5, doses), head + canonical._head(5, count))
+                    for data, doses in ((world.requests[0], 1), (world.wire["Badge"][0], 2)))
+    assert head + canonical._head(5, count) in frame and head + canonical._head(5, count) in badge
+    tracemalloc.start()
+    try:
+        response = canonical.decode(handle_request_bytes(world.issuer, frame))
+        with pytest.raises(VaxError) as refused:
+            _qr_body(world, badge)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert response["error"] == "canonical"
+    assert isinstance(refused.value.__cause__, CanonicalError)  # wrapped by the QR reader

@@ -16,6 +16,7 @@ built by hypothesis. Three things must hold:
 import datetime
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -344,3 +345,20 @@ def test_a_map_reads_no_further_than_its_entry_count():
     assert outer.read(data) == ((1, None), 2)
     _agree(outer, data)
     assert outer.write(((1, None), 2)) == data
+
+
+@pytest.mark.parametrize("count", [2**28, 2**62])
+def test_a_list_count_past_the_input_is_refused_before_any_item(count):
+    """A list's item count is outside input: a count larger than the bytes
+    left is refused as non-canonical at once, with nothing allocated for it."""
+    head = b"\x03\x05doses"
+    data = _part("badge_paper_dose1", "info").replace(
+        head + canonical._head(5, 1), head + canonical._head(5, count))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CanonicalError):
+            BadgeInfo.TABLE.read(data)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    _agree(BadgeInfo.TABLE, data)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage import VenueTranscript, linkage_audit
 from vaxcred.coupons import issue_coupon_batch
 from vaxcred.credentials import DoseInfo, Status, VaccinationLevel
 from vaxcred.crypto import generate_keypair
@@ -16,6 +15,8 @@ from vaxcred.vaccination import BadgeIssuer, PharmacySession
 from vaxcred.verification import (
     Reject,
     Verdict,
+    VenueTranscript,
+    linkage_audit,
     verify_badge,
     verify_presentation,
     verify_status,
