@@ -152,10 +152,6 @@ class DistributorBatch:
     def job_type(self) -> str:
         return self.coupons[0].payload.job_type
 
-    @property
-    def remaining(self) -> int:
-        return len(self.coupons) - len(self.released)
-
     def distribute(self, record: EligibilityRecord) -> Coupon:
         if not record.approved:
             raise NotEligibleError(f"record {record.subject_ref!r} not approved")

@@ -22,12 +22,10 @@ from .coupons import Coupon
 from .crypto import (
     DIGEST_LEN,
     SALT_LEN,
-    TAG_PASSKEY,
     SignedBody,
     SignedEnvelope,
     VerifyingKey,
     salted_hash,
-    tagged_hash,
 )
 from .errors import CanonicalError, DuplicateLabelError, EmptyRequestError, MismatchError
 
@@ -285,7 +283,3 @@ class Passkey(canonical.Wire):
 
     def commitment(self) -> bytes:
         return salted_hash(PII.write(self.pii), self.salt)  # pii is sorted: see above
-
-    def fingerprint(self) -> bytes:
-        """Stable identifier for audit transcripts (not shown to venues)."""
-        return tagged_hash(TAG_PASSKEY, self.to_bytes())

@@ -31,7 +31,7 @@ import threading
 from _operator import _compare_digest
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -277,7 +277,8 @@ _verified_lock = threading.Lock()
 
 
 def verify(vk: VerifyingKey, msg: bytes, sig: bytes) -> bool:
-    """Total verification: malformed inputs are a rejection, never a crash.
+    """False for a message or signature that is not bytes, or a signature
+    that does not verify; a key that is not a VerifyingKey is a fault.
 
     A triple verified before is accepted from memory: the SHA-256 under
     ``TAG_VERIFIED`` of key (32 bytes) || signature (64 bytes) || message.
@@ -285,15 +286,15 @@ def verify(vk: VerifyingKey, msg: bytes, sig: bytes) -> bool:
     the answer a verify of the same triple gives. Only successes are
     added, so an altered triple is verified (and refused) every time; the
     set is emptied once it holds ``VERIFIED_MAX`` digests."""
-    if not isinstance(sig, bytes) or len(sig) != SIGNATURE_LEN:
+    if not (isinstance(msg, bytes) and isinstance(sig, bytes) and len(sig) == SIGNATURE_LEN):
         return False
+    public = vk.sig_bytes
+    digest = tagged_hash(TAG_VERIFIED, public, sig, msg)
+    if digest in _verified:
+        return True
     try:
-        public = vk.sig_bytes
-        digest = tagged_hash(TAG_VERIFIED, public, sig, msg)
-        if digest in _verified:
-            return True
         Ed25519PublicKey.from_public_bytes(public).verify(sig, msg)
-    except Exception:
+    except InvalidSignature:
         return False
     with _verified_lock:
         if len(_verified) >= VERIFIED_MAX:

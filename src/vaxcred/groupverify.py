@@ -1,8 +1,8 @@
 """Contactless venue admission: short-lived challenges over a secure channel.
 
-The venue advertises a channel key (with an issuer certificate). A holder
-verifies the advertisement under one of two trust modes, opens an
-encrypted channel, and submits their status. If the status verifies and
+The venue advertises a channel key with an issuer certificate. A holder
+trusts that key only through the certificate, opens an encrypted
+channel, and submits their status. If the status verifies and
 meets the admission policy, the venue answers with the current challenge
 code encrypted **to the holder key bound inside the signed status** — so
 a relay that merely forwards someone else's status can never read the
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import canonical, crypto
 from .canonical import Field
@@ -32,9 +31,9 @@ from .crypto import (
     ephemeral_agreement,
     generate_keypair,
     randomness,
-    sha256,
 )
-from .errors import AuthFailureError, CanonicalError, SessionStateError, TrustFailureError
+from .errors import (AuthFailureError, CanonicalError, SessionStateError, TrustFailureError,
+                     VaxError)
 from .verification import first_match, key_list, verify_status
 
 _CODE_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
@@ -53,8 +52,9 @@ def render_code(k: int) -> str:
 
 
 class TrustMode(enum.Enum):
+    """How a holder trusts a venue's channel key: by the issuer's certificate."""
+
     ISSUER_SIGNED = "issuer-signed"
-    QR_PINNED = "qr-pinned"
 
 
 # -- frames -------------------------------------------------------------------
@@ -90,10 +90,6 @@ class VenueAdvertisement(canonical.Wire):
         Field("venue", canonical.TEXT, "venue_id"),
     )
 
-    def cert_digest(self) -> bytes:
-        """Stable digest for QR pinning."""
-        return sha256(self.to_bytes())
-
 
 @dataclass
 class VenueIdentity:
@@ -116,34 +112,18 @@ def make_venue(issuer_handle: KeyHandle, venue_id: str, rng=None) -> VenueIdenti
     return VenueIdentity(venue_id=venue_id, handle=handle, cert=cert)
 
 
-def check_advertisement(
-    adv: VenueAdvertisement,
-    mode: TrustMode,
-    *,
-    issuer_key: Optional[VerifyingKey] = None,
-    pinned_digest: Optional[bytes] = None,
-) -> None:
-    """Raise TrustFailureError unless the advertisement earns trust."""
-    if mode is TrustMode.ISSUER_SIGNED:
-        if issuer_key is None:
-            raise TrustFailureError("issuer-signed mode needs the issuer key")
-        body = _CERT.write((adv.channel_key, adv.venue_id))
-        if not crypto.verify(issuer_key, body, adv.cert):
-            raise TrustFailureError("venue certificate does not verify")
-    elif mode is TrustMode.QR_PINNED:
-        if pinned_digest is None:
-            raise TrustFailureError("qr-pinned mode needs the pinned digest")
-        if adv.cert_digest() != pinned_digest:
-            raise TrustFailureError("advertisement differs from the pinned QR")
-    else:
-        raise TrustFailureError(f"unknown trust mode {mode!r}")
+def check_advertisement(adv: VenueAdvertisement, issuer_key: VerifyingKey) -> None:
+    """TrustFailureError unless ``issuer_key`` certified the advertised
+    channel key for the advertised venue."""
+    body = _CERT.write((adv.channel_key, adv.venue_id))
+    if not crypto.verify(issuer_key, body, adv.cert):
+        raise TrustFailureError("venue certificate does not verify")
 
 
 # -- encrypted channel -------------------------------------------------------
 
 
 class SessionState(enum.Enum):
-    INIT = "init"
     ESTABLISHED = "established"
     STATUS_RECEIVED = "status-received"
     CHALLENGE_SENT = "challenge-sent"
@@ -181,17 +161,12 @@ class _Endpoint:
         self.state = SessionState.CLOSED
 
 
-def open_channel(
-    adv: VenueAdvertisement,
-    mode: TrustMode,
-    *,
-    issuer_key=None,
-    pinned_digest=None,
-    rng=None,
-):
+def open_channel(adv: VenueAdvertisement, mode: TrustMode, *,
+                 issuer_key: VerifyingKey, rng=None):
     """Holder side: trust check, then ECDH. Returns (channel, hello bytes);
-    AuthFailureError for a channel key that gives no shared secret."""
-    check_advertisement(adv, mode, issuer_key=issuer_key, pinned_digest=pinned_digest)
+    AuthFailureError for a channel key that gives no shared secret.
+    ``mode`` is the one trust mode there is."""
+    check_advertisement(adv, issuer_key)
     eph_pub, keys = ephemeral_agreement(adv.channel_key, _CHANNEL_INFO, 64, rng)
     channel = _Endpoint(send_key=keys[:32], recv_key=keys[32:])
     return channel, _HELLO.write((eph_pub, adv.venue_id))
@@ -251,9 +226,8 @@ class VenueSession:
         or None). Never raises on bad input; the channel closes on garbage."""
         channel._require(SessionState.ESTABLISHED)
         try:
-            plaintext = channel.open(frame)
-            status = Status.from_bytes(plaintext)
-        except Exception:
+            status = Status.from_bytes(channel.open(frame))
+        except VaxError:  # a forged or tampered frame, or bytes no status has
             channel.close()
             return GateDecision(False, "garbled"), None
         channel.state = SessionState.STATUS_RECEIVED

@@ -128,10 +128,6 @@ def split_shares(
     return ShareBundle(share_a=tuple(share_a), share_b=tuple(share_b), p=p)
 
 
-def recombine(bundle: ShareBundle) -> tuple:
-    return tuple((a + b) % bundle.p for a, b in zip(bundle.share_a, bundle.share_b))
-
-
 class AggServer:
     """One aggregation server: a running sum and a count, nothing else.
 
@@ -282,12 +278,6 @@ def load_feed(path) -> AlertFeed:
     rows = [canonical.fields(r, ("scope", "key", "message"), what, ("day",)) for r in records]
     entries = tuple(AlertEntry(scope, key, message) for scope, key, message, _ in rows)
     return AlertFeed(day=(rows[-1][3] if rows else None) or "", entries=entries)
-
-
-def feed_request_bytes(day: str) -> bytes:
-    """The only bytes a client sends to fetch alerts: a date, nothing else.
-    Byte-identical across holders by construction."""
-    return canonical.encode({"day": day, "kind": "alert-feed"})
 
 
 @dataclass(frozen=True)

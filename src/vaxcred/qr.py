@@ -17,7 +17,7 @@ from typing import Optional
 
 from .coupons import Coupon
 from .credentials import Badge, Passkey, Status
-from .errors import DecodeError, LengthExceededError, UnknownPrefixError
+from .errors import DecodeError, LengthExceededError, UnknownPrefixError, VaxError
 from .merkle import DisclosureProof
 
 MAX_QR_CHARS = 2048
@@ -70,11 +70,10 @@ def encode_qr(payload) -> str:
 
 def _decode_body(cls, what: str, body: str):
     """``cls`` from a base-32 body; every malformation is a DecodeError."""
+    data = _unb32(body)
     try:
-        return cls.from_bytes(_unb32(body))
-    except DecodeError:
-        raise
-    except Exception as exc:
+        return cls.from_bytes(data)
+    except VaxError as exc:  # the reader's and the constructors' refusals
         raise DecodeError(f"malformed {what} payload: {exc}") from exc
 
 

@@ -272,13 +272,10 @@ class Registry:
             self._commit([record])
             return True
 
-    def dismantle(self, *, administrative: bool = False) -> None:
+    def dismantle(self) -> None:
         """Erase every entry and replace the log with a single marker line,
         renamed over it once fsynced: a crash leaves the log or the marker,
-        never an empty log that reopens live. Requires the administrative
-        flag; repeat calls are no-ops."""
-        if not administrative:
-            raise InvalidTransitionError("dismantle requires the administrative flag")
+        never an empty log that reopens live. Repeat calls are no-ops."""
         with self._lock, self._log_locked():
             if self._dismantled:
                 return

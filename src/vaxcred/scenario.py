@@ -86,10 +86,6 @@ class TranscriptLog:
         return durable.dump_lines(self.events).decode()
 
     @property
-    def rejections(self) -> list:
-        return [e for e in self.events if not e["ok"]]
-
-    @property
     def summary(self) -> dict:
         return self.events[-1] if self.events else {}
 

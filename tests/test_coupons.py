@@ -141,7 +141,7 @@ def test_distribute_resumes_a_restored_batch(issuer):
     batch = DistributorBatch(coupons=coupons, released={0, 1, 3})
     got = [batch.distribute(_record(subject_ref=f"S-{i}")).payload.index for i in range(3)]
     assert got == [2, 4, 5]
-    assert batch.released == {0, 1, 2, 3, 4, 5} and batch.remaining == 0
+    assert batch.released == {0, 1, 2, 3, 4, 5}
     with pytest.raises(BatchExhaustedError):
         batch.distribute(_record())
 

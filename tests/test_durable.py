@@ -225,7 +225,7 @@ def test_crash_during_dismantle(tmp_path):
         tmp_path, _registry_with,
         "from vaxcred.registry import Registry\n"
         "with Registry('reg.log') as reg:\n"
-        "    reg.dismantle(administrative=True)",
+        "    reg.dismantle()",
         check,
     )
 

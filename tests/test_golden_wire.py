@@ -29,7 +29,7 @@ from vaxcred.credentials import (
     StatusPayload,
     VaccinationLevel,
 )
-from vaxcred.crypto import generate_keypair
+from vaxcred.crypto import generate_keypair, sha256
 from vaxcred.groupverify import VenueAdvertisement, make_venue
 from vaxcred.merkle import DisclosureProof, build_pii_tree, prove_disclosure
 from vaxcred.qr import decode_qr, encode_qr, export_coupon_url, import_coupon_url
@@ -102,7 +102,7 @@ def _build():
     extra = {
         "coupon_url": export_coupon_url(batch[0]),
         "advertisement": canonical.encode(adv.to_wire()).hex(),
-        "cert_digest": adv.cert_digest().hex(),
+        "cert_digest": sha256(adv.to_bytes()).hex(),
         "request_frame": request.hex(),
         "response_frame": response.hex(),
     }

@@ -1,5 +1,5 @@
-"""Contactless admission: venue trust modes, the encrypted channel, the
-anti-relay property, and rotating-code windows."""
+"""Contactless admission: the venue's issuer certificate, the encrypted
+channel, the anti-relay property, and rotating-code windows."""
 
 import random
 
@@ -78,18 +78,14 @@ def _run_admission(venue, gate, wallet, issuer_key, rng, now=1000.0):
 
 
 def test_advertisement_trust_modes(issuer, issuer_key, venue, rng):
-    adv = venue.advertisement
-    check_advertisement(adv, TrustMode.ISSUER_SIGNED, issuer_key=issuer_key)
-    check_advertisement(adv, TrustMode.QR_PINNED, pinned_digest=adv.cert_digest())
+    check_advertisement(venue.advertisement, issuer_key)
 
 
 def test_advertisement_rejects_wrong_anchor(issuer_key, venue, rng):
     adv = venue.advertisement
     _, other = generate_keypair(rng)
     with pytest.raises(TrustFailureError):
-        check_advertisement(adv, TrustMode.ISSUER_SIGNED, issuer_key=other)
-    with pytest.raises(TrustFailureError):
-        check_advertisement(adv, TrustMode.QR_PINNED, pinned_digest=b"x" * 32)
+        check_advertisement(adv, other)
 
 
 def test_forged_advertisement_rejected(issuer, issuer_key, rng):
@@ -99,7 +95,7 @@ def test_forged_advertisement_rejected(issuer, issuer_key, rng):
     forged = VenueAdvertisement(venue_id=adv.venue_id, channel_key=evil_key,
                                 cert=adv.cert)
     with pytest.raises(TrustFailureError):
-        check_advertisement(forged, TrustMode.ISSUER_SIGNED, issuer_key=issuer_key)
+        check_advertisement(forged, issuer_key)
 
 
 def test_honest_vaccinated_admitted(issuer, issuer_key, registry, rng, venue, gate):
@@ -125,10 +121,12 @@ def test_hostile_keys_get_typed_errors(place, issuer, issuer_key, rng, venue, ga
         hello = canonical.encode({"eph": LOW_ORDER, "venue": venue.venue_id})
         with pytest.raises(AuthFailureError):
             accept_channel(venue, hello)
-    elif place == "advertisement":
-        adv = VenueAdvertisement(venue_id="V-TEST", channel_key=hostile, cert=b"")
+    elif place == "advertisement":  # certified by the issuer, so only the agreement refuses it
+        cert = issuer.sign(canonical.encode({"channel": hostile.to_wire(), "venue": "V-TEST"}))
+        adv = VenueAdvertisement(venue_id="V-TEST", channel_key=hostile, cert=cert)
+        check_advertisement(adv, issuer_key)
         with pytest.raises(AuthFailureError):
-            open_channel(adv, TrustMode.QR_PINNED, pinned_digest=adv.cert_digest(), rng=rng)
+            open_channel(adv, TrustMode.ISSUER_SIGNED, issuer_key=issuer_key, rng=rng)
     elif place == "encrypt-to":
         with pytest.raises(AuthFailureError):
             encrypt_to(hostile, b"code", rng=rng)
@@ -267,6 +265,44 @@ def test_channel_frames_tamper_rejected(issuer, issuer_key, registry, rng,
         gate.process_status(venue_end, bytes(frame), 1000.0)
 
 
+def _sealed_to_the_door(venue, issuer_key, rng, plaintext):
+    """The venue end of a fresh channel and ``plaintext`` sealed on it."""
+    channel, hello = open_channel(venue.advertisement, TrustMode.ISSUER_SIGNED,
+                                  issuer_key=issuer_key, rng=rng)
+    return accept_channel(venue, hello), channel.seal(plaintext)
+
+
+def _app_status(issuer, user_key) -> Status:
+    payload = StatusPayload(level=VaccinationLevel.FULLY, date="2021-02-22",
+                            binding=AppBinding(user_key=user_key, pii_root=bytes(32)))
+    return Status.sign(issuer, payload)
+
+
+def test_a_status_no_constructor_accepts_is_garbled(issuer, issuer_key, rng, venue, gate):
+    """Bytes the table reader accepts but a constructor refuses, here a
+    holder key of a foreign scheme, are refused like any other garbage."""
+    raw = _app_status(issuer, issuer_key).to_bytes()
+    foreign = raw.replace(b"ed25519+x25519", b"ed25519+x25518")
+    venue_end, frame = _sealed_to_the_door(venue, issuer_key, rng, foreign)
+    decision, response = gate.process_status(venue_end, frame, 1000.0)
+    assert (decision.accepted, decision.reason, response) == (False, "garbled", None)
+
+
+def test_a_fault_at_the_door_is_not_garbled(issuer, issuer_key, rng, venue, gate,
+                                            monkeypatch):
+    """Only refused input reads as "garbled": a fault in the status
+    reader propagates out of the door."""
+    raw = _app_status(issuer, issuer_key).to_bytes()
+    venue_end, frame = _sealed_to_the_door(venue, issuer_key, rng, raw)
+
+    def broken(self, data):
+        raise RuntimeError("reader fault")
+
+    monkeypatch.setattr(canonical.Table, "read", broken)
+    with pytest.raises(RuntimeError):
+        gate.process_status(venue_end, frame, 1000.0)
+
+
 def test_channel_is_confidential(issuer, issuer_key, registry, rng, venue, gate):
     wallet = _vaccinated_wallet(issuer, issuer_key, registry, rng)
     channel, hello = open_channel(venue.advertisement, TrustMode.ISSUER_SIGNED,
@@ -290,4 +326,4 @@ def test_render_code_format():
 def test_advertisement_wire_round_trip(venue):
     adv = venue.advertisement
     again = VenueAdvertisement.from_bytes(canonical.encode(adv.to_wire()))
-    assert again.cert_digest() == adv.cert_digest()
+    assert again == adv and again.to_bytes() == adv.to_bytes()

@@ -77,7 +77,7 @@ def test_match_needs_id_and_signature_digest(registry):
     assert registry.match(cid, sig) == CouponState(Stage.DOSE1, "2021-01-05")
     assert registry.match(cid, _coupon(2)[1]) is None
     assert registry.match(_cid(2), sig) is None
-    registry.dismantle(administrative=True)
+    registry.dismantle()
     assert registry.match(cid, sig) is None  # no raise: callers pick the error
 
 
@@ -196,7 +196,7 @@ def test_the_log_bytes_are_pinned(tmp_path):
         assert _mark(reg, 0, 1) is False
         assert _mark(reg, 0, 2, date="2021-01-26") is True
         assert path.read_bytes() == _PINNED_LOG
-        reg.dismantle(administrative=True)
+        reg.dismantle()
     assert path.read_bytes() == b'{"op": "dismantle", "seq": 4}\n'
 
 
@@ -293,7 +293,7 @@ def test_a_dismantle_between_the_lock_and_the_replay(tmp_path, monkeypatch):
     def racing(self, records):
         monkeypatch.setattr(Registry, "_replay", replay)
         with Registry(path) as other:
-            other.dismantle(administrative=True)
+            other.dismantle()
         replay(self, records)
 
     monkeypatch.setattr(Registry, "_replay", racing)
@@ -413,7 +413,7 @@ def test_badge_digest_is_logged_at_dose1_and_replayed(tmp_path):
         assert reg.match_badge(_cid(0), bytes(32)) is None
         assert reg.match_badge(_cid(1), badge) is None
         assert reg.check(_cid(1)) == CouponState(Stage.DOSE1, "2021-01-05")
-        reg.dismantle(administrative=True)
+        reg.dismantle()
         assert reg.match_badge(_cid(0), badge) is None
 
 
@@ -470,7 +470,7 @@ def test_handles_on_one_log_see_each_other(tmp_path, monkeypatch):
             with pytest.raises(UnknownCouponError):
                 a.check(_cid(9))
             assert locks
-        b.dismantle(administrative=True)
+        b.dismantle()
         with pytest.raises(DismantledError):
             _mark(a, 1, 1)
         assert a.dismantled and a.match(*_coupon(1)) is None
@@ -633,9 +633,7 @@ def test_dismantle(tmp_path):
     reg = Registry(path)
     reg.register_many([_coupon(i) for i in range(3)])
     _mark(reg, 0, 1)
-    with pytest.raises(InvalidTransitionError):
-        reg.dismantle()  # requires explicit administrative intent
-    reg.dismantle(administrative=True)
+    reg.dismantle()
     assert reg.dismantled
     with pytest.raises(DismantledError):
         reg.check(_cid(0))
@@ -691,7 +689,7 @@ def test_failed_dismantle_leaves_the_registry_whole(tmp_path, monkeypatch):
         patch.setattr(builtins, "open", failing(real_open))
         patch.setattr(os, "fdopen", failing(real_fdopen))
         with pytest.raises(OSError):
-            reg.dismantle(administrative=True)
+            reg.dismantle()
     assert not reg.dismantled and reg.check(_cid(0)).stage is Stage.DOSE1
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["reg.log"]  # no marker left beside it

@@ -122,7 +122,7 @@ def test_admission_and_first_dose_refuse_alike(case, issuer, issuer_key, registr
     elif case == "used":
         session.issue_credentials_paper(coupon, _dose(), PII)
     else:
-        registry.dismantle(administrative=True)
+        registry.dismantle()
     with pytest.raises(VaxError) as refused:
         check_admission(issuer_key, registry, coupon)
     with pytest.raises(VaxError) as raised:
@@ -191,7 +191,7 @@ def test_hostile_second_doses_refused(case, registry, coupon, session, rng, veri
     elif case == "after-dose-2":
         session.second_dose(badge, _dose(n=2, date="2021-02-22"))
     else:
-        registry.dismantle(administrative=True)
+        registry.dismantle()
     with pytest.raises(VaxError) as refused:
         session.second_dose(badge, _dose(n=2, date="2021-02-23"))
     assert refused.value.code == SECOND_DOSE_REFUSALS[case]

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkage import VenueTranscript, linkage_audit
+from vaxcred import crypto, verification
 from vaxcred.coupons import issue_coupon_batch
-from vaxcred.credentials import DoseInfo, Status, VaccinationLevel
+from vaxcred.credentials import DoseInfo, Passkey, Status, VaccinationLevel
 from vaxcred.crypto import generate_keypair
 from vaxcred.errors import EmptyRequestError
 from vaxcred.vaccination import BadgeIssuer, PharmacySession
 from vaxcred.verification import (
     Reject,
     Verdict,
-    VenueTranscript,
-    linkage_audit,
     verify_badge,
     verify_presentation,
     verify_status,
@@ -161,6 +161,34 @@ def test_verify_presentation_total_on_garbage(issuer_key):
     assert isinstance(verify_presentation(issuer_key, None), Reject)
     assert isinstance(verify_presentation(issuer_key, b"bytes"), Reject)
     assert isinstance(verify_presentation(issuer_key, object()), Reject)
+
+
+def _fault(*args, **kwargs):
+    raise RuntimeError("fault")
+
+
+class _BrokenEd25519:
+    from_public_bytes = staticmethod(_fault)
+
+
+@pytest.mark.parametrize("step", ["signature", "passkey", "disclosure"])
+def test_a_fault_is_not_a_refusal(step, issuer_key, paper_wallet, app_wallet, monkeypatch):
+    """verify_presentation answers a Reject for a bad presentation, but a
+    fault in a step it runs propagates instead of reading as one."""
+    if step == "signature":
+        shown = present(paper_wallet, PresentationKind.STATUS_ONLY)
+        monkeypatch.setattr(crypto, "_verified", set())  # no remembered verify
+        monkeypatch.setattr(crypto, "Ed25519PublicKey", _BrokenEd25519)
+    elif step == "passkey":
+        shown = present(paper_wallet, PresentationKind.STATUS_WITH_PASSKEY,
+                        DisclosureConsent(granted=True))
+        monkeypatch.setattr(Passkey, "commitment", _fault)
+    else:
+        shown = present(app_wallet, PresentationKind.STATUS_WITH_DISCLOSURE,
+                        DisclosureConsent(granted=True, labels=("name",)))
+        monkeypatch.setattr(verification, "verify_disclosure", _fault)
+    with pytest.raises(RuntimeError):
+        verify_presentation(issuer_key, shown)
 
 
 @given(st.binary(min_size=1, max_size=200), st.integers(0, 3))

@@ -14,7 +14,8 @@ import pytest
 
 from vaxcred import canonical, qr, service, vaccination
 from vaxcred.coupons import issue_coupon_batch
-from vaxcred.credentials import Badge, BadgeInfo, DoseInfo, Passkey, Status, VaccinationLevel
+from vaxcred.credentials import (AppBinding, Badge, BadgeInfo, DoseInfo, Passkey, Status,
+                                 StatusPayload, VaccinationLevel)
 from vaxcred.crypto import generate_keypair, sha256
 from vaxcred.errors import (
     AlreadyUsedError,
@@ -185,6 +186,40 @@ def test_qr_rejects_junk():
     with pytest.raises(DecodeError):
         # valid base-32 of garbage bytes
         decode_qr("CPN1:AAAAAAAA")
+
+
+def test_constructor_refusals_are_decode_refusals(artifacts, issuer, issuer_key):
+    """A payload the table reader accepts but a constructor refuses (a
+    coupon's zip, a holder key of a foreign scheme) is a DecodeError."""
+    coupon = artifacts[0]
+    app_status = Status.sign(issuer, StatusPayload(
+        level=VaccinationLevel.FULLY, date="2021-03-03",
+        binding=AppBinding(user_key=issuer_key, pii_root=bytes(32))))
+    for prefix, raw, good, bad in [
+        ("CPN1", coupon.to_bytes(), b"02139", b"0213X"),
+        ("STS1", app_status.to_bytes(), b"ed25519+x25519", b"ed25519+x25518"),
+    ]:
+        assert raw.count(good) == 1
+        body = base64.b32encode(raw.replace(good, bad)).decode().rstrip("=")
+        with pytest.raises(DecodeError) as refused:
+            decode_qr(f"{prefix}:{body}")
+        assert refused.value.code == "decode"
+
+
+def test_a_fault_in_the_reader_is_not_a_decode_refusal(artifacts, monkeypatch):
+    """Only refusals become DecodeError: a fault in the table reader
+    propagates out of decode_qr and import_coupon_url."""
+    coupon, _, status, _, _ = artifacts
+    text, url = encode_qr(status), export_coupon_url(coupon)
+
+    def broken(self, data):
+        raise RuntimeError("reader fault")
+
+    monkeypatch.setattr(canonical.Table, "read", broken)
+    with pytest.raises(RuntimeError):
+        decode_qr(text)
+    with pytest.raises(RuntimeError):
+        import_coupon_url(url)
 
 
 def test_qr_length_cap(artifacts):
